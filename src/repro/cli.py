@@ -281,33 +281,63 @@ def cmd_faults(args) -> int:
     return 0 if clean else 1
 
 
+def _serving_specs(spec_class, args, **fields) -> list:
+    """One spec per ``--rates`` entry, from the flags both verbs share."""
+    rates = list(args.rates) if args.rates else [0.002, 0.008, 0.02]
+    return [spec_class(rate=rate, levels=args.levels, sites=args.sites,
+                       requests=args.requests, capacity=args.capacity,
+                       batch=args.batch, tenants=args.tenants,
+                       arrival=args.arrival, zipf_exponent=args.zipf,
+                       write_fraction=args.write_fraction,
+                       profile=args.profile, seed=args.seed,
+                       adapt=args.adapt, slo_p99=args.slo_target,
+                       window_ticks=args.window_ticks,
+                       declassified=tuple(args.declassify or ()),
+                       **fields)
+            for rate in rates]
+
+
+def _emit_serving(args, reports, noun: str, render, where: str) -> int:
+    """``--report``, ``--json`` or the tables, then the depth-bound exit.
+
+    Exit code 0 requires every report's peak queue depth to respect the
+    admission bound (the backpressure contract: overload sheds, it never
+    buffers unboundedly).
+    """
+    import json
+
+    from repro.serve import canonical_json
+
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write("[")
+            handle.write(",".join(canonical_json(report)
+                                  for report in reports))
+            handle.write("]\n")
+        print(f"wrote {len(reports)} {noun} to {args.report}",
+              file=sys.stderr)
+    if args.json:
+        print(json.dumps(reports, indent=2, sort_keys=True))
+    else:
+        render(reports)
+    bounded = all(report["queue"]["depth_bounded"] for report in reports)
+    print(f"queue depth bounded by K {where}" if bounded
+          else "queue-depth bound VIOLATED", file=sys.stderr)
+    return 0 if bounded else 1
+
+
 def cmd_serve_bench(args) -> int:
     """Handle ``repro serve-bench``.
 
     One :class:`~repro.serve.ServeSpec` per (design, rate) pair, swept
     through :func:`~repro.serve.run_serve_sweep` — cached, parallel with
-    ``--jobs``, byte-identical reports either way.  Exit code 0 requires
-    every report's peak queue depth to respect the admission bound (the
-    backpressure contract: overload sheds, it never buffers unboundedly).
+    ``--jobs``, byte-identical reports either way.
     """
-    import json
-
-    from repro.serve import ServeSpec, canonical_json, render_table
-    from repro.serve import run_serve_sweep
+    from repro.serve import ServeSpec, render_table, run_serve_sweep
 
     designs = list(args.design) if args.design else ["split"]
-    rates = list(args.rates) if args.rates else [0.002, 0.008, 0.02]
-    specs = [ServeSpec(design=design, levels=args.levels, sites=args.sites,
-                       rate=rate, requests=args.requests,
-                       capacity=args.capacity, batch=args.batch,
-                       tenants=args.tenants, arrival=args.arrival,
-                       zipf_exponent=args.zipf,
-                       write_fraction=args.write_fraction,
-                       profile=args.profile, seed=args.seed,
-                       adapt=args.adapt, slo_p99=args.slo_target,
-                       window_ticks=args.window_ticks,
-                       declassified=tuple(args.declassify or ()))
-             for design in designs for rate in rates]
+    specs = [spec for design in designs
+             for spec in _serving_specs(ServeSpec, args, design=design)]
     meta: List[dict] = []
     reports = run_serve_sweep(specs, jobs=args.jobs,
                               cache=_sweep_cache(args), meta=meta)
@@ -322,17 +352,8 @@ def cmd_serve_bench(args) -> int:
                 "serve", serve_core(report, fingerprint=fingerprint),
                 wall_ms=float(info["wall_ms"]), jobs=args.jobs,
                 from_cache=bool(info["from_cache"])))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write("[")
-            handle.write(",".join(canonical_json(report)
-                                  for report in reports))
-            handle.write("]\n")
-        print(f"wrote {len(reports)} serving reports to {args.report}",
-              file=sys.stderr)
-    if args.json:
-        print(json.dumps(reports, indent=2, sort_keys=True))
-    else:
+
+    def render(reports) -> None:
         for design in designs:
             block = [report for report in reports
                      if report["spec"]["design"] == design]
@@ -350,10 +371,8 @@ def cmd_serve_bench(args) -> int:
                   f"batch={final.get('batch')} limit={final.get('limit')}"
                   + (f" modes={final['modes']}" if "modes" in final
                      else ""))
-    bounded = all(report["queue"]["depth_bounded"] for report in reports)
-    print("queue depth bounded by K everywhere" if bounded
-          else "queue-depth bound VIOLATED", file=sys.stderr)
-    return 0 if bounded else 1
+    return _emit_serving(args, reports, "serving reports", render,
+                         "everywhere")
 
 
 def cmd_serve_sharded(args) -> int:
@@ -363,30 +382,14 @@ def cmd_serve_sharded(args) -> int:
     one worker process per shard through
     :func:`~repro.serve.run_sharded`, then folded into one aggregate
     report (``docs/serving.md``).  The ledger gets one ``serve-shard``
-    record per shard plus one ``serve-sharded`` record per point.  Exit
-    code 0 requires every shard's peak queue depth to respect the
-    per-shard admission bound.
+    record per shard plus one ``serve-sharded`` record per point.  The
+    depth bound is checked per shard.
     """
-    import json
+    from repro.serve import ShardSpec, render_table, run_sharded_sweep
 
-    from repro.serve import (ShardSpec, canonical_json, render_table,
-                             run_sharded_sweep)
-
-    rates = list(args.rates) if args.rates else [0.002, 0.008, 0.02]
-    quarantined = tuple(args.quarantine_shard or ())
-    specs = [ShardSpec(design=args.design, levels=args.levels,
-                       sites=args.sites, rate=rate, requests=args.requests,
-                       capacity=args.capacity, batch=args.batch,
-                       tenants=args.tenants, arrival=args.arrival,
-                       zipf_exponent=args.zipf,
-                       write_fraction=args.write_fraction,
-                       profile=args.profile, seed=args.seed,
-                       shards=args.shards, subtrees=args.subtrees,
-                       quarantined=quarantined,
-                       adapt=args.adapt, slo_p99=args.slo_target,
-                       window_ticks=args.window_ticks,
-                       declassified=tuple(args.declassify or ()))
-             for rate in rates]
+    specs = _serving_specs(ShardSpec, args, design=args.design,
+                           shards=args.shards, subtrees=args.subtrees,
+                           quarantined=tuple(args.quarantine_shard or ()))
     meta: List[dict] = []
     reports = run_sharded_sweep(specs, jobs=args.jobs,
                                 cache=_sweep_cache(args), meta=meta)
@@ -408,17 +411,8 @@ def cmd_serve_sharded(args) -> int:
             ledger.append(make_record(
                 "serve-sharded", core, wall_ms=float(info["wall_ms"]),
                 jobs=args.jobs, from_cache=bool(info["from_cache"])))
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write("[")
-            handle.write(",".join(canonical_json(report)
-                                  for report in reports))
-            handle.write("]\n")
-        print(f"wrote {len(reports)} sharded reports to {args.report}",
-              file=sys.stderr)
-    if args.json:
-        print(json.dumps(reports, indent=2, sort_keys=True))
-    else:
+
+    def render(reports) -> None:
         for report in reports:
             rate = report["spec"]["rate"]
             print(render_table(
@@ -442,10 +436,8 @@ def cmd_serve_sharded(args) -> int:
                 print(f"  control: {control['decisions']} decisions, "
                       f"{control['applied']} applied (shards + migration); "
                       f"final drain p per shard {finals}")
-    bounded = all(report["queue"]["depth_bounded"] for report in reports)
-    print("queue depth bounded by K on every shard" if bounded
-          else "queue-depth bound VIOLATED", file=sys.stderr)
-    return 0 if bounded else 1
+    return _emit_serving(args, reports, "sharded reports", render,
+                         "on every shard")
 
 
 def _sweep_cache(args):
@@ -784,6 +776,42 @@ def build_parser() -> argparse.ArgumentParser:
                               "under sustained load (repeatable; "
                               "requires --adapt)")
 
+    def serving_opts(sub, per_shard: str):
+        """The flags ``serve-bench`` and ``serve-sharded`` share."""
+        sub.add_argument("--rates", type=float, nargs="+", default=None,
+                         metavar="R", help="offered rates in requests per "
+                         "tick (default: 0.002 0.008 0.02)")
+        sub.add_argument("--requests", type=int, default=512,
+                         help="offered requests per point")
+        sub.add_argument("--capacity", type=int, default=32,
+                         help=f"admission queue capacity K{per_shard}")
+        sub.add_argument("--batch", type=int, default=8,
+                         help="requests drained per scheduling round")
+        sub.add_argument("--tenants", type=int, default=1,
+                         help="independent tenant streams sharing the rate")
+        sub.add_argument("--arrival", default="poisson",
+                         choices=("poisson", "burst", "uniform"))
+        sub.add_argument("--zipf", type=float, default=0.0,
+                         help="Zipf exponent over each tenant's addresses "
+                              "(0 = uniform)")
+        sub.add_argument("--write-fraction", type=float, default=0.25)
+        sub.add_argument("--profile", default=None,
+                         help="borrow a workload profile's locality knobs "
+                              "(see `repro workloads`)")
+        sub.add_argument("--levels", type=int, default=9)
+        sub.add_argument("--sites", type=int, default=2,
+                         help="SDIMM count (independent) or group count "
+                              f"(indep-split){per_shard}")
+        sub.add_argument("--seed", type=int, default=2018)
+        sub.add_argument("--report", default=None, metavar="FILE",
+                         help="write the canonical JSON reports "
+                              "(byte-identical across --jobs and replays)")
+        sub.add_argument("--json", action="store_true",
+                         help="emit machine-readable reports on stdout")
+        adaptive_opts(sub)
+        concurrency(sub)
+        ledger_opt(sub)
+
     simulate = subparsers.add_parser(
         "simulate", help="run one design on one workload")
     simulate.add_argument("design", type=_design)
@@ -904,39 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("independent", "split", "indep-split"),
                        help="protocol to serve through (repeatable; "
                             "default: split)")
-    serve.add_argument("--rates", type=float, nargs="+", default=None,
-                       metavar="R", help="offered rates in requests per "
-                       "tick (default: 0.002 0.008 0.02)")
-    serve.add_argument("--requests", type=int, default=512,
-                       help="offered requests per point")
-    serve.add_argument("--capacity", type=int, default=32,
-                       help="admission queue capacity K")
-    serve.add_argument("--batch", type=int, default=8,
-                       help="requests drained per scheduling round")
-    serve.add_argument("--tenants", type=int, default=1,
-                       help="independent tenant streams sharing the rate")
-    serve.add_argument("--arrival", default="poisson",
-                       choices=("poisson", "burst", "uniform"))
-    serve.add_argument("--zipf", type=float, default=0.0,
-                       help="Zipf exponent over each tenant's addresses "
-                            "(0 = uniform)")
-    serve.add_argument("--write-fraction", type=float, default=0.25)
-    serve.add_argument("--profile", default=None,
-                       help="borrow a workload profile's locality knobs "
-                            "(see `repro workloads`)")
-    serve.add_argument("--levels", type=int, default=9)
-    serve.add_argument("--sites", type=int, default=2,
-                       help="SDIMM count (independent) or group count "
-                            "(indep-split)")
-    serve.add_argument("--seed", type=int, default=2018)
-    serve.add_argument("--report", default=None, metavar="FILE",
-                       help="write the canonical JSON reports "
-                            "(byte-identical across --jobs and replays)")
-    serve.add_argument("--json", action="store_true",
-                       help="emit machine-readable reports on stdout")
-    adaptive_opts(serve)
-    concurrency(serve)
-    ledger_opt(serve)
+    serving_opts(serve, per_shard="")
     serve.set_defaults(handler=cmd_serve_bench)
 
     sharded = subparsers.add_parser(
@@ -956,39 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None, metavar="S",
                          help="run shard S in degraded quarantine mode "
                               "(repeatable; independent/indep-split only)")
-    sharded.add_argument("--rates", type=float, nargs="+", default=None,
-                         metavar="R", help="offered rates in requests per "
-                         "tick (default: 0.002 0.008 0.02)")
-    sharded.add_argument("--requests", type=int, default=512,
-                         help="offered requests per point (pre-routing)")
-    sharded.add_argument("--capacity", type=int, default=32,
-                         help="admission queue capacity K, per shard")
-    sharded.add_argument("--batch", type=int, default=8,
-                         help="requests drained per scheduling round")
-    sharded.add_argument("--tenants", type=int, default=1,
-                         help="independent tenant streams sharing the rate")
-    sharded.add_argument("--arrival", default="poisson",
-                         choices=("poisson", "burst", "uniform"))
-    sharded.add_argument("--zipf", type=float, default=0.0,
-                         help="Zipf exponent over each tenant's addresses "
-                              "(0 = uniform)")
-    sharded.add_argument("--write-fraction", type=float, default=0.25)
-    sharded.add_argument("--profile", default=None,
-                         help="borrow a workload profile's locality knobs "
-                              "(see `repro workloads`)")
-    sharded.add_argument("--levels", type=int, default=9)
-    sharded.add_argument("--sites", type=int, default=2,
-                         help="SDIMM count (independent) or group count "
-                              "(indep-split), per shard")
-    sharded.add_argument("--seed", type=int, default=2018)
-    sharded.add_argument("--report", default=None, metavar="FILE",
-                         help="write the canonical JSON aggregate reports "
-                              "(byte-identical across --jobs and replays)")
-    sharded.add_argument("--json", action="store_true",
-                         help="emit machine-readable reports on stdout")
-    adaptive_opts(sharded)
-    concurrency(sharded)
-    ledger_opt(sharded)
+    serving_opts(sharded, per_shard=", per shard")
     sharded.set_defaults(handler=cmd_serve_sharded)
 
     perf_report = subparsers.add_parser(

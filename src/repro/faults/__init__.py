@@ -19,8 +19,7 @@ deployable system needs on top — what happens *after* detection:
 """
 
 from repro.faults.campaign import (CampaignOutcome, CampaignSpec,
-                                   campaign_cache_key, run_campaign,
-                                   run_campaign_sweep)
+                                   run_campaign, run_campaign_sweep)
 from repro.faults.injector import FaultInjector, FaultyStore, SplitFaultDriver
 from repro.faults.plan import (FAULT_BIT_FLIP, FAULT_BUFFER_STALL,
                                FAULT_LINK_DELAY, FAULT_LINK_DROP,
@@ -32,7 +31,7 @@ from repro.faults.recovery import (ResilienceStats, ResilientLink,
                                    RetryingStore, SplitResilienceHandle)
 
 __all__ = [
-    "CampaignOutcome", "CampaignSpec", "campaign_cache_key",
+    "CampaignOutcome", "CampaignSpec",
     "run_campaign", "run_campaign_sweep",
     "FaultInjector", "FaultyStore", "SplitFaultDriver",
     "FaultPlan", "FaultSpec",

@@ -13,18 +13,17 @@ and reports a detection/recovery scoreboard instead of crashing:
   serializes to one canonical JSON payload, so two runs of the same seed
   diff byte-for-byte (the CI smoke job does exactly that).
 
-Campaigns are sweepable: :func:`run_campaign_sweep` mirrors the
-:mod:`repro.parallel.sweep` engine (submission-index merge, cache-first,
-serial fallback) with entries keyed by spec + plan digest + code
-fingerprint through :meth:`RunCache.get_json`.
+Campaigns are sweepable: :func:`run_campaign_sweep` runs through
+:func:`repro.parallel.sweep.cached_map` (submission-order merge,
+cache-first, serial fallback) with entries keyed by spec + plan digest +
+code fingerprint.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.indep_split import IndepSplitProtocol
 from repro.core.independent import IndependentProtocol
@@ -38,8 +37,7 @@ from repro.faults.recovery import (ResilienceStats, ResilientLink,
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.path_oram import Op, StashOverflowError
-from repro.parallel.cache import RunCache
-from repro.parallel.fingerprint import code_fingerprint
+from repro.parallel.cache import RunCache, content_key
 from repro.parallel.serialize import SCHEMA_VERSION
 from repro.sim.stats import failure_record_from_exception
 from repro.utils.rng import DeterministicRng
@@ -335,30 +333,17 @@ def run_campaign(spec: CampaignSpec, plan: Optional[FaultPlan] = None,
 
 
 # ----------------------------------------------------------------------
-# Cache keys and the sweep engine
+# The sweep engine
 # ----------------------------------------------------------------------
 
-def campaign_cache_key(spec: CampaignSpec, plan: FaultPlan,
-                       fingerprint: Optional[str] = None) -> str:
-    """Content hash identifying one campaign request."""
-    request = {
-        "artifact": "fault-campaign",
-        "schema": SCHEMA_VERSION,
-        "spec": spec.to_dict(),
-        "plan_digest": plan.digest(),
-        "fingerprint": fingerprint if fingerprint is not None
-        else code_fingerprint(),
-    }
-    rendered = json.dumps(request, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(rendered.encode()).hexdigest()
+def _campaign_payload(spec: CampaignSpec) -> Dict[str, object]:
+    """Pool worker: re-derives everything from the picklable spec."""
+    return run_campaign(spec).to_dict()
 
 
-def _campaign_worker(task: Tuple[int, Dict[str, object]]
-                     ) -> Tuple[int, Dict[str, object]]:
-    """Pool worker: re-derives everything from the picklable spec dict."""
-    index, payload = task
-    spec = CampaignSpec.from_dict(payload)
-    return index, run_campaign(spec).to_dict()
+def _campaign_key(spec: CampaignSpec, fingerprint: Optional[str]) -> str:
+    return content_key("fault-campaign", SCHEMA_VERSION, spec.to_dict(),
+                       fingerprint, plan_digest=spec.build_plan().digest())
 
 
 def run_campaign_sweep(specs: Sequence[CampaignSpec], jobs: int = 1,
@@ -366,53 +351,12 @@ def run_campaign_sweep(specs: Sequence[CampaignSpec], jobs: int = 1,
                        ) -> List[Dict[str, object]]:
     """Run several campaigns; results come back in submission order.
 
-    Mirrors :func:`repro.parallel.sweep.run_sweep`: cache-first, pool
-    with serial fallback, submission-index merge so the output is
-    bit-identical regardless of completion order.
+    Cache-first through :func:`repro.parallel.sweep.cached_map`, keyed
+    by spec + plan digest + code fingerprint, so the output is
+    bit-identical regardless of completion order or ``jobs``.
     """
-    specs = list(specs)
-    fingerprint = code_fingerprint() if cache is not None else None
-    slots: List[Optional[Dict[str, object]]] = [None] * len(specs)
-    pending: List[Tuple[int, Dict[str, object]]] = []
-    keys: Dict[int, str] = {}
+    from repro.parallel.sweep import cached_map
 
-    for index, spec in enumerate(specs):
-        if cache is None:
-            pending.append((index, spec.to_dict()))
-            continue
-        key = campaign_cache_key(spec, spec.build_plan(),
-                                 fingerprint=fingerprint)
-        keys[index] = key
-        cached = cache.get_json(key)
-        if cached is not None:
-            slots[index] = cached
-        else:
-            pending.append((index, spec.to_dict()))
-
-    payloads: List[Tuple[int, Dict[str, object]]] = []
-    pool = None
-    if jobs > 1 and len(pending) > 1:
-        from repro.parallel.sweep import _make_pool
-
-        pool = _make_pool(jobs)
-    if pool is None:
-        for task in pending:
-            payloads.append(_campaign_worker(task))
-    else:
-        with pool:
-            # completion order is nondeterministic; the sorted merge
-            # below restores submission order
-            for index, payload in pool.imap_unordered(_campaign_worker,
-                                                      pending):
-                payloads.append((index, payload))
-            pool.close()
-            pool.join()
-
-    for index, payload in sorted(payloads, key=lambda item: item[0]):
-        slots[index] = payload
-        if cache is not None:
-            cache.put_json(keys[index], payload, fingerprint=fingerprint)
-
-    results = [entry for entry in slots if entry is not None]
-    assert len(results) == len(specs), "campaign sweep lost a point"
-    return results
+    return [payload for payload, _ in cached_map(
+        _campaign_payload, list(specs), _campaign_key, jobs=jobs,
+        cache=cache)]

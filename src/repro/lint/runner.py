@@ -175,10 +175,10 @@ def _outcome_from_dict(payload: Dict[str, object]) -> FileOutcome:
     )
 
 
-def _file_worker(task: Tuple[int, str, Tuple[str, ...], Optional[str]]
-                 ) -> Tuple[int, Dict[str, object]]:
+def _file_worker(task: Tuple[str, Tuple[str, ...], Optional[str]]
+                 ) -> Dict[str, object]:
     """Pool worker: one file, cache-first, picklable in and out."""
-    index, raw_path, rule_ids, cache_dir = task
+    raw_path, rule_ids, cache_dir = task
     path = Path(raw_path)
     cache: Optional[LintCache] = None
     key: Optional[str] = None
@@ -191,39 +191,22 @@ def _file_worker(task: Tuple[int, str, Tuple[str, ...], Optional[str]]
         if key is not None:
             cached = cache.get(key)
             if cached is not None:
-                return index, cached
+                return cached
     rules = select_rules(rule_ids)
     payload = _outcome_to_dict(check_one_file(path, rules))
     if cache is not None and key is not None:
         cache.put(key, payload)
-    return index, payload
+    return payload
 
 
 def _run_file_phase(files: Sequence[Path], rule_ids: Sequence[str],
                     jobs: int,
                     cache_dir: Optional[str]) -> List[FileOutcome]:
-    tasks = [(index, str(path), tuple(rule_ids), cache_dir)
-             for index, path in enumerate(files)]
-    payloads: List[Tuple[int, Dict[str, object]]] = []
-    pool = None
-    if jobs > 1 and len(tasks) > 1:
-        from repro.parallel.sweep import make_pool
+    from repro.parallel.sweep import ordered_map
 
-        pool = make_pool(jobs)
-    if pool is None:
-        for task in tasks:
-            payloads.append(_file_worker(task))
-    else:
-        with pool:
-            # completion order is nondeterministic; the sorted
-            # index-keyed merge below restores submission order, which
-            # is what makes --jobs N byte-identical to serial
-            for item in pool.imap_unordered(_file_worker, tasks):
-                payloads.append(item)
-            pool.close()
-            pool.join()
-    ordered = sorted(payloads, key=lambda item: item[0])
-    return [_outcome_from_dict(payload) for _, payload in ordered]
+    tasks = [(str(path), tuple(rule_ids), cache_dir) for path in files]
+    return [_outcome_from_dict(payload)
+            for payload in ordered_map(_file_worker, tasks, jobs=jobs)]
 
 
 # ----------------------------------------------------------------------

@@ -64,6 +64,20 @@ def config_digest_payload(config: SystemConfig) -> Dict[str, object]:
     return dataclasses.asdict(config)
 
 
+def content_key(artifact: str, schema: int, spec: Dict[str, object],
+                fingerprint: Optional[str] = None, **extra: object) -> str:
+    """Content hash of one JSON-payload request (serve, shard, campaign).
+
+    ``artifact`` names the payload kind, ``schema`` its layout version,
+    ``spec`` its canonical request dict; ``extra`` fields (a fault
+    plan's digest, say) join the hashed request.
+    """
+    request = dict(extra, artifact=artifact, schema=schema, spec=spec,
+                   fingerprint=fingerprint if fingerprint is not None
+                   else code_fingerprint())
+    return hashlib.sha256(canonical_json(request).encode()).hexdigest()
+
+
 @dataclasses.dataclass
 class CachedRun:
     """One deserialized cache entry."""

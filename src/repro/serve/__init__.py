@@ -19,7 +19,7 @@ from repro.serve.bench import (
     generate_requests,
     run_serve,
     run_serve_sweep,
-    serve_cache_key,
+    serve_timeline,
 )
 from repro.serve.loadgen import (
     Request,
@@ -40,7 +40,6 @@ from repro.serve.router import (
     fold_shard_reports,
     run_sharded,
     run_sharded_sweep,
-    sharded_cache_key,
 )
 from repro.serve.shard import (
     ShardPlan,
@@ -89,7 +88,6 @@ __all__ = [
     "run_shard",
     "run_sharded",
     "run_sharded_sweep",
-    "serve_cache_key",
-    "sharded_cache_key",
+    "serve_timeline",
     "tenant_from_profile",
 ]

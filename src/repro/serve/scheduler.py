@@ -131,7 +131,6 @@ class BatchingScheduler:
 
     def __init__(self, protocol, queue_capacity: int, batch_size: int = 1,
                  metrics: Optional[MetricsRegistry] = None,
-                 ticks_per_link_event: int = 1,
                  fallback_access_ticks: int = 64,
                  keep_read_bytes: bool = False,
                  sample_seed: int = 2018,
@@ -141,13 +140,10 @@ class BatchingScheduler:
             raise ValueError("admission queue needs capacity >= 1")
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if ticks_per_link_event < 1:
-            raise ValueError("ticks per link event must be positive")
         self.protocol = protocol
         self.queue_capacity = queue_capacity
         self.batch_size = batch_size
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.ticks_per_link_event = ticks_per_link_event
         self.fallback_access_ticks = fallback_access_ticks
         self.keep_read_bytes = keep_read_bytes
         self._sample_seed = sample_seed
@@ -167,7 +163,7 @@ class BatchingScheduler:
         # The recorder only exists to meter service time here; clearing it
         # after each reading keeps a long serving run O(batch) in memory.
         self._link.clear()
-        return max(count, events * self.ticks_per_link_event)
+        return max(count, events)
 
     def _serve_batch(self, batch: List[Request]):
         """Issue a batch in arrival order, coalescing duplicate reads.
@@ -278,8 +274,8 @@ class BatchingScheduler:
                 depth_gauge.adjust(-len(batch))
                 served, coalesced_keys, batch_accesses, batch_plain = \
                     self._serve_batch(batch)
-                cost = (self._access_cost(batch_accesses) + batch_plain *
-                        PLAIN_LINK_EVENTS * self.ticks_per_link_event)
+                cost = (self._access_cost(batch_accesses) +
+                        batch_plain * PLAIN_LINK_EVENTS)
                 finish = start + cost
                 for request in batch:
                     key = (request.tenant, request.sequence)

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from repro.faults.campaign import (CampaignSpec, _build_protocol,
-                                   build_faulted_protocol,
-                                   campaign_cache_key, run_campaign,
-                                   run_campaign_sweep)
+                                   _campaign_key, build_faulted_protocol,
+                                   run_campaign, run_campaign_sweep)
 from repro.faults.plan import FaultPlan
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel import RunCache
@@ -134,12 +133,12 @@ class TestSweepAndCache:
 
     def test_cache_key_is_stable_and_plan_sensitive(self):
         spec = faulty_spec("independent")
-        plan = spec.build_plan()
-        assert campaign_cache_key(spec, plan) == \
-            campaign_cache_key(spec, plan)
+        fingerprint = "f" * 64
+        assert _campaign_key(spec, fingerprint) == \
+            _campaign_key(spec, fingerprint)
         other = faulty_spec("independent", seed=7)
-        assert campaign_cache_key(other, other.build_plan()) != \
-            campaign_cache_key(spec, plan)
+        assert _campaign_key(other, fingerprint) != \
+            _campaign_key(spec, fingerprint)
 
     def test_serial_and_parallel_sweeps_agree(self):
         serial = run_campaign_sweep(self.specs(), jobs=1)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import DesignPoint, small_config
 from repro.parallel import RunCache, SweepPoint, run_result_to_dict, run_sweep
+from repro.parallel.cache import content_key
 from repro.parallel.serialize import canonical_json
 import repro.parallel.sweep as sweep_module
 
@@ -67,7 +68,7 @@ class TestSerialFallback:
     def test_pool_failure_degrades_to_serial(self, serial_outcome,
                                              monkeypatch):
         sweep_module.shutdown_pools()  # a live warm pool would bypass the patch
-        monkeypatch.setattr(sweep_module, "_make_pool",
+        monkeypatch.setattr(sweep_module, "make_pool",
                             lambda jobs, **kwargs: None)
         fallback = run_sweep(list(POINTS), jobs=4)
         assert result_bytes(fallback) == result_bytes(serial_outcome)
@@ -76,7 +77,7 @@ class TestSerialFallback:
         def boom(jobs, **kwargs):
             raise AssertionError("jobs=1 must not construct a pool")
         sweep_module.shutdown_pools()
-        monkeypatch.setattr(sweep_module, "_make_pool", boom)
+        monkeypatch.setattr(sweep_module, "make_pool", boom)
         outcome = run_sweep([POINTS[0]], jobs=1)
         assert len(outcome.results) == 1
 
@@ -91,7 +92,7 @@ class TestWarmPools:
             builds.append(jobs)
             return real(jobs, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "_make_pool", counting)
+        monkeypatch.setattr(sweep_module, "make_pool", counting)
         first = run_sweep(list(POINTS), jobs=2)
         second = run_sweep(list(POINTS), jobs=2)
         assert result_bytes(first) == result_bytes(second)
@@ -198,3 +199,52 @@ class TestSweepWithCache:
         outcome = run_sweep([untraced], jobs=1, cache=cache)
         assert not outcome.results[0].from_cache
         assert cache.entry_count() == 2
+
+
+class TestOrderedMap:
+    """The one fan-out loop every sweep, shard set and lint run uses."""
+
+    TASKS = [5, -3, 8, -1, 0, 7]
+
+    def test_task_order_for_any_jobs(self):
+        serial = sweep_module.ordered_map(abs, self.TASKS, jobs=1)
+        assert serial == [abs(task) for task in self.TASKS]
+        sweep_module.shutdown_pools()
+        assert sweep_module.ordered_map(abs, self.TASKS, jobs=2) == serial
+        sweep_module.shutdown_pools()
+
+    def test_worker_error_discards_the_pool(self):
+        sweep_module.shutdown_pools()
+        with pytest.raises(ValueError):
+            sweep_module.ordered_map(int, ["1", "x", "3"], jobs=2)
+        assert sweep_module._WARM_POOLS == {}
+
+    def test_cached_map_replays_from_the_cache(self, tmp_path):
+        cache = RunCache(str(tmp_path / "runs"))
+        tasks = [[("a", 1)], [("b", 2)], [("a", 1), ("c", 3)]]
+
+        def key_of(task, fingerprint):
+            return content_key("pairs", 1, dict(task), fingerprint)
+
+        first = sweep_module.cached_map(dict, tasks, key_of, jobs=2,
+                                        cache=cache)
+        replay = sweep_module.cached_map(dict, tasks, key_of, jobs=1,
+                                         cache=cache)
+        sweep_module.shutdown_pools()
+        assert [payload for payload, _ in first] == [dict(task)
+                                                    for task in tasks]
+        assert [payload for payload, _ in replay] == \
+            [payload for payload, _ in first]
+        assert [info["from_cache"] for _, info in first] == [False] * 3
+        assert [info["from_cache"] for _, info in replay] == [True] * 3
+
+    def test_content_key_covers_every_field(self):
+        base = content_key("serve-bench", 2, {"rate": 0.1}, "f" * 64)
+        assert base == content_key("serve-bench", 2, {"rate": 0.1}, "f" * 64)
+        assert base != content_key("serve-sharded", 2, {"rate": 0.1},
+                                   "f" * 64)
+        assert base != content_key("serve-bench", 3, {"rate": 0.1}, "f" * 64)
+        assert base != content_key("serve-bench", 2, {"rate": 0.2}, "f" * 64)
+        assert base != content_key("serve-bench", 2, {"rate": 0.1}, "e" * 64)
+        assert base != content_key("serve-bench", 2, {"rate": 0.1}, "f" * 64,
+                                   plan_digest="0")

@@ -3,15 +3,14 @@
 import pytest
 
 from repro.analysis.queueing import mm1k_full_probability
-from repro.parallel.cache import RunCache
+from repro.parallel.cache import RunCache, content_key
 from repro.serve.bench import (
     ServeSpec,
     generate_requests,
     run_serve,
     run_serve_sweep,
-    serve_cache_key,
 )
-from repro.serve.slo import canonical_json, compare_with_model
+from repro.serve.slo import REPORT_SCHEMA, canonical_json, compare_with_model
 
 SMALL = dict(levels=5, requests=64, capacity=16, batch=4, seed=2018)
 
@@ -161,7 +160,8 @@ class TestSweepDeterminism:
     def test_cache_key_separates_specs(self):
         a, b = self.specs()[:2]
         fingerprint = "f" * 64
-        assert serve_cache_key(a, fingerprint=fingerprint) != \
-            serve_cache_key(b, fingerprint=fingerprint)
-        assert serve_cache_key(a, fingerprint=fingerprint) == \
-            serve_cache_key(a, fingerprint=fingerprint)
+        def key(spec):
+            return content_key("serve-bench", REPORT_SCHEMA,
+                               spec.to_dict(), fingerprint)
+        assert key(a) != key(b)
+        assert key(a) == key(a)

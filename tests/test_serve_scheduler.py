@@ -49,9 +49,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BatchingScheduler(FakeProtocol(), queue_capacity=4,
                               batch_size=0)
-        with pytest.raises(ValueError):
-            BatchingScheduler(FakeProtocol(), queue_capacity=4,
-                              ticks_per_link_event=0)
 
 
 class TestEmptyAndTrivial:
