@@ -44,6 +44,13 @@ def _round(value: float, digits: int = 9) -> float:
     return round(float(value), digits)
 
 
+def offered_utilization(offered_rate: float,
+                        outcome: SchedulerOutcome) -> float:
+    """Offered rho: the offered rate times the measured ticks per access."""
+    ticks_per_access = outcome.ticks_per_access
+    return offered_rate * ticks_per_access if ticks_per_access else 0.0
+
+
 def build_report(spec_payload: Dict[str, object],
                  outcome: SchedulerOutcome,
                  queue_capacity: int,
@@ -51,8 +58,7 @@ def build_report(spec_payload: Dict[str, object],
     """One serving run -> one canonical, JSON-ready report dict."""
     ticks_per_access = outcome.ticks_per_access
     rho_measured = outcome.utilization
-    rho_offered = (offered_rate * ticks_per_access
-                   if ticks_per_access else 0.0)
+    rho_offered = offered_utilization(offered_rate, outcome)
     prediction_rho = rho_offered if rho_offered else rho_measured
     predicted_full = (mm1k_full_probability(prediction_rho, queue_capacity)
                       if prediction_rho > 0 else 0.0)
