@@ -1,5 +1,5 @@
 """Serial-vs-parallel sweep throughput + hot-path speedup, recorded to
-``BENCH_pr3.json``.
+``benchmarks/results/BENCH_speedup.json``.
 
 Two measurements, both honest about the machine they ran on
 (``cpu_count`` is in the record):
@@ -10,16 +10,20 @@ Two measurements, both honest about the machine they ran on
    parallel result diverges from its serial twin — this is the CI
    perf-smoke divergence gate.
 2. **Hot path** — one fixed single-run scenario timed in two fresh
-   subprocesses: the *reference* core (``REPRO_REFERENCE_CORE=1`` +
-   ``REPRO_DISABLE_MEMO=1``: closure-based event scheduling, the
-   helper-per-constraint ``schedule_run``, bank-scanning residency
-   tracking, memo caches off) against the optimized default.  Cycle
+   subprocesses: the *reference* core (``REPRO_REFERENCE_CORE=1``:
+   closure-based event scheduling, the helper-per-constraint
+   ``schedule_run``, bank-scanning residency tracking, memo caches and
+   fast path off) against the optimized default.  Cycle
    counts must match exactly; the wall-clock delta is the measured
    single-run speedup of the hot-path work.
 
 Run directly::
 
     python benchmarks/bench_speedup.py --trace-length 1200 --jobs 4
+
+The default output is a local, gitignored file.  ``BENCH_pr3.json`` in
+the same directory is the committed, frozen record of an earlier run of
+this script; pass ``--out`` explicitly to write anywhere else.
 
 Under pytest (tier-2 benchmark suite) the module contributes one smoke
 test that runs a miniature version of the same flow.
@@ -46,7 +50,7 @@ from repro.parallel import (SweepPoint, code_fingerprint,  # noqa: E402
                             run_result_to_dict, run_sweep)
 
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "results", "BENCH_pr3.json")
+                           "results", "BENCH_speedup.json")
 
 #: Designs x workloads of the measured sweep (8 points: enough to keep a
 #: small pool busy, small enough for a CI smoke run).
@@ -106,7 +110,6 @@ def measure_hotpath_run(trace_length: int, reference: bool,
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_REFERENCE_CORE"] = "1" if reference else ""
-    env["REPRO_DISABLE_MEMO"] = "1" if reference else ""
     output = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     cycles, elapsed = output.stdout.split()

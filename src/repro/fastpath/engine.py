@@ -1,6 +1,6 @@
 """The flat pass engine: stamp a whole read/write pass in one call.
 
-:func:`stamp_pass` is the Tier-B workhorse of the macro-replay core: it
+:func:`stamp_pass` is the workhorse of the macro-replay core: it
 applies the exact DDR constraint chain of
 :meth:`repro.dram.channel.Channel.schedule_run` to every run of one pass
 with the timing fields, bus state, and counters hoisted into locals, and
@@ -19,7 +19,7 @@ tests against ``REPRO_REFERENCE_CORE=1`` pin this.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.dram.commands import PowerState
 from repro.obs.timeseries import WindowSnapshot, WindowedTracer
@@ -50,8 +50,6 @@ def pass_eligible(channel, rank_indices, earliest: int) -> bool:
 
 def stamp_pass(channel, runs, is_write: bool, earliest: int,
                batch: Optional[list] = None, slots=None,
-               acts: Optional[list] = None,
-               firsts: Optional[Dict[int, int]] = None,
                refresh: bool = True) -> int:
     """Stamp one pass of ``runs`` on ``channel``; return its end cycle.
 
@@ -59,10 +57,8 @@ def stamp_pass(channel, runs, is_write: bool, earliest: int,
     channel's share of a :class:`~repro.fastpath.runs.PathPattern`).
     Burst events append to ``batch`` when given, or land at
     ``batch[slots[i]]`` when ``slots`` maps runs back to a multi-channel
-    emission order.  The Tier-A recorder passes ``acts`` to collect
-    ``(rank, issue_time)`` per ACT and ``firsts`` (read passes) to
-    record the first data_end per touched rank — replay needs both to
-    rebuild ACT pacing state and the active-standby transition exactly.
+    emission order.  ``refresh=False`` skips the per-run refresh checks
+    when the caller has proved no touched rank is due within the pass.
 
     The caller must have established :func:`pass_eligible`; this body is
     the ``schedule_run`` constraint chain with wake elided (no touched
@@ -146,8 +142,6 @@ def stamp_pass(channel, runs, is_write: bool, earliest: int,
             history.append(candidate)
             rank._last_act_time = candidate
             activates += 1
-            if acts is not None:
-                acts.append((rank_index, candidate))
         cas_issue = run_start
         ready = bank.ready_cas
         if ready > cas_issue:
@@ -180,8 +174,6 @@ def stamp_pass(channel, runs, is_write: bool, earliest: int,
             ready = last_cas + trtp
             if ready > bank.ready_precharge:
                 bank.ready_precharge = ready
-            if firsts is not None and rank_index not in firsts:
-                firsts[rank_index] = data_end
         ready = last_cas + tccd_l
         if ready > bank.ready_cas:
             bank.ready_cas = ready

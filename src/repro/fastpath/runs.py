@@ -13,13 +13,9 @@ multiply-adds per level.  ``tests/test_fastpath_runs.py`` pins content
 equality against the layout classes over both geometries.
 
 The product is a :class:`PathPattern`: the run list in a tuple-of-ints
-form plus the derived metadata the fast access core needs — the touched
-ranks eagerly (the eligibility check reads them every access) and the
-first-touch banks / touched bank groups lazily (only the Tier-A
-signature reads those, and on big trees patterns effectively never
-repeat so the signature is rarely built).  Patterns are immutable and
-memoized per ``(leaf, skip)`` with the same bounded clear-when-full
-policy the layouts use.
+form plus the touched ranks the fast access core checks every access.
+Patterns are immutable and memoized per ``(leaf, skip)`` with the same
+bounded clear-when-full policy the layouts use.
 """
 
 from __future__ import annotations
@@ -64,26 +60,21 @@ def _level_terms(total_levels: int, sub_total: int, subtree_levels: int,
 
 
 class PathPattern:
-    """One path access's run list plus signature/stamping metadata.
+    """One path access's run list plus stamping metadata.
 
-    ``runs`` is the Tier-A delta-table key component; ``per_channel``
-    groups the runs for per-channel pass stamping while remembering each
-    run's position in the original emission order (``slots``) so a
-    multi-channel stamp reproduces the slow core's event order exactly.
+    ``per_channel`` groups the runs for per-channel pass stamping while
+    remembering each run's position in the original emission order
+    (``slots``) so a multi-channel stamp reproduces the slow core's event
+    order exactly; ``touched_ranks`` lists the ``(channel, rank)`` pairs
+    the access touches.
     """
 
-    __slots__ = ("runs", "per_channel", "sig_ranks", "seen",
-                 "_banks_per_group", "_sig_banks", "_sig_groups",
-                 "_slice_cache")
+    __slots__ = ("runs", "per_channel", "touched_ranks", "_slice_cache")
 
-    def __init__(self, runs: Tuple[Run6, ...], banks_per_group: int,
+    def __init__(self, runs: Tuple[Run6, ...],
                  runs5: Optional[tuple] = None,
-                 sig_ranks: Optional[tuple] = None):
+                 touched_ranks: Optional[tuple] = None):
         self.runs = runs
-        self.seen = 0
-        self._banks_per_group = banks_per_group
-        self._sig_banks: Optional[tuple] = None
-        self._sig_groups: Optional[tuple] = None
         self._slice_cache: Dict[int, tuple] = {}
         if runs5 is not None:
             # single-channel producer already built the 5-tuple form
@@ -103,39 +94,13 @@ class PathPattern:
                 self.per_channel = tuple(
                     (channel, tuple(part_runs), tuple(slots))
                     for channel, (part_runs, slots) in by_channel.items())
-        if sig_ranks is not None:
-            self.sig_ranks = sig_ranks
+        if touched_ranks is not None:
+            self.touched_ranks = touched_ranks
         else:
             ranks: Dict[Tuple[int, int], None] = {}
             for run in runs:
                 ranks.setdefault((run[0], run[1]), None)
-            self.sig_ranks = tuple(ranks)
-
-    @property
-    def sig_banks(self) -> tuple:
-        """First-touch ``(channel, rank, bank, first_row)`` per bank."""
-        banks = self._sig_banks
-        if banks is None:
-            first: Dict[Tuple[int, int, int], int] = {}
-            for channel, rank, bank, row, _column, _count in self.runs:
-                key = (channel, rank, bank)
-                if key not in first:
-                    first[key] = row
-            banks = self._sig_banks = tuple(
-                key + (row,) for key, row in first.items())
-        return banks
-
-    @property
-    def sig_groups(self) -> tuple:
-        """Touched ``(channel, rank, bank_group)`` triples."""
-        groups = self._sig_groups
-        if groups is None:
-            seen: Dict[Tuple[int, int, int], None] = {}
-            per_group = self._banks_per_group
-            for run in self.runs:
-                seen.setdefault((run[0], run[1], run[2] // per_group), None)
-            groups = self._sig_groups = tuple(seen)
-        return groups
+            self.touched_ranks = tuple(ranks)
 
     def slices(self, ways: int) -> Tuple[tuple, ...]:
         """Per-way run shares, matching ``SdimmDevice.slice_runs``.
@@ -161,7 +126,7 @@ class PathPattern:
 class FastTreeRuns:
     """Pattern producer mirroring :class:`TreeLayout` (striped channels)."""
 
-    def __init__(self, layout, banks_per_group: int):
+    def __init__(self, layout):
         self.layout = layout
         self.levels = layout.geometry.levels
         self.lines_per_bucket = layout.oram.lines_per_bucket
@@ -171,7 +136,6 @@ class FastTreeRuns:
         self.banks = decoder.banks
         self.ranks = decoder.ranks
         self.rows = decoder.rows
-        self.banks_per_group = banks_per_group
         self._terms = _level_terms(self.levels, self.levels,
                                    layout.subtree_levels,
                                    self.lines_per_bucket, 0)
@@ -224,13 +188,13 @@ class FastTreeRuns:
                     rank_masks[channel] |= 1 << rank
                     line += take
                     remaining -= take
-        sig_ranks = tuple((channel, rank)
-                          for channel in range(channels)
-                          for rank in range(ranks)
-                          if rank_masks[channel] >> rank & 1)
-        pattern = PathPattern(tuple(runs), self.banks_per_group,
+        touched_ranks = tuple((channel, rank)
+                              for channel in range(channels)
+                              for rank in range(ranks)
+                              if rank_masks[channel] >> rank & 1)
+        pattern = PathPattern(tuple(runs),
                               tuple(runs5) if channels == 1 else None,
-                              sig_ranks)
+                              touched_ranks)
         if MEMO_ENABLED:
             if len(self._cache) >= DEFAULT_MEMO_CAP:
                 self._cache.clear()
@@ -241,7 +205,7 @@ class FastTreeRuns:
 class FastLowPowerRuns:
     """Pattern producer mirroring :class:`LowPowerLayout` (one rank/path)."""
 
-    def __init__(self, layout, banks_per_group: int):
+    def __init__(self, layout):
         self.layout = layout
         self.levels = layout.geometry.levels
         self.rank_levels = layout.rank_levels
@@ -250,7 +214,6 @@ class FastLowPowerRuns:
         self.columns = decoder.columns
         self.banks = decoder.banks
         self.rows = decoder.rows
-        self.banks_per_group = banks_per_group
         self._terms = _level_terms(self.levels,
                                    layout._rank_geometry.levels,
                                    layout.subtree_levels,
@@ -299,8 +262,7 @@ class FastLowPowerRuns:
                 runs5.append((rank, bank, row, column, take))
                 line += take
                 remaining -= take
-        pattern = PathPattern(tuple(runs), self.banks_per_group,
-                              tuple(runs5), ((0, rank),))
+        pattern = PathPattern(tuple(runs), tuple(runs5), ((0, rank),))
         if MEMO_ENABLED:
             if len(self._cache) >= DEFAULT_MEMO_CAP:
                 self._cache.clear()

@@ -209,15 +209,15 @@ def make_pool(jobs: int, initializer=None, initargs=()):
 
 #: Live pools keyed by (worker count, A/B switch-env signature).  A
 #: benchmark session runs many sweeps back to back; keeping the workers
-#: alive amortizes process start-up and lets worker-side memo caches
-#: (pattern memos, delta tables) stay warm.  Workers re-derive every
-#: result from the pickled :class:`SweepPoint` alone, so a warm worker
-#: returns byte-identical payloads to a cold one — the jobs-parity tests
-#: pin this.  The signature half of the key is the A/B-toggle guard: a
-#: worker forked under ``REPRO_DISABLE_FASTPATH`` (or the reference-core
-#: / memo switches) would silently keep running that core after the
-#: parent toggled the variable, so a toggle must retire the pool rather
-#: than reuse it (``tests/test_parallel_sweep.py`` pins the differential).
+#: alive amortizes process start-up and module import.  Workers
+#: re-derive every result from the pickled :class:`SweepPoint` alone, so
+#: a warm worker returns byte-identical payloads to a cold one — the
+#: jobs-parity tests pin this.  The signature half of the key is the
+#: A/B-toggle guard: a worker forked under ``REPRO_DISABLE_FASTPATH`` (or
+#: ``REPRO_REFERENCE_CORE``) would silently keep running that core after
+#: the parent toggled the variable, so a toggle must retire the pool
+#: rather than reuse it (``tests/test_parallel_sweep.py`` pins the
+#: differential).
 _WARM_POOLS: Dict[Tuple[int, Tuple[str, ...]], object] = {}
 _ATEXIT_REGISTERED = False
 

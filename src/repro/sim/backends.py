@@ -60,6 +60,24 @@ class BackendCounters:
         return dict(self.__dict__)
 
 
+def _sum_fastpath_stats(fastpaths, groups=()) -> Tuple[int, int]:
+    """(attempted accesses, flat-stamped accesses) for the ledger.
+
+    ``fastpaths`` are the drivers' :class:`AccessFastPath` objects
+    (``None`` where the fast path is off); ``groups`` are Split groups,
+    which count their own group-wide attempts.
+    """
+    attempts = fast = 0
+    for group in groups:
+        attempts += group.fastpath_attempts
+        fast += group.fastpath_accesses
+    for fastpath in fastpaths:
+        if fastpath is not None:
+            attempts += fastpath.attempts
+            fast += fastpath.fast_accesses
+    return attempts, fast
+
+
 # ----------------------------------------------------------------------
 # Non-secure baseline
 # ----------------------------------------------------------------------
@@ -167,10 +185,8 @@ class FreecursiveBackend:
         self.fastpath: Optional[AccessFastPath] = None
         if FASTPATH_ENABLED:
             self.fastpath = AccessFastPath(
-                self.channels,
-                FastTreeRuns(self.layout,
-                             self.channels[0]._banks_per_group),
-                self.skip_levels, self.crypto, "oram-backend", tracer)
+                self.channels, FastTreeRuns(self.layout), self.skip_levels,
+                self.crypto, "oram-backend", tracer)
 
     def submit(self, line_address: int, now: int, is_write: bool,
                on_complete: CompletionCallback = None) -> None:
@@ -215,11 +231,7 @@ class FreecursiveBackend:
         return write_end + self.crypto
 
     def fastpath_stats(self) -> Tuple[int, int]:
-        """(attempted accesses, macro-replayed accesses) for the ledger."""
-        fast = self.fastpath
-        if fast is None:
-            return (0, 0)
-        return (fast.attempts, fast.fast_accesses)
+        return _sum_fastpath_stats([self.fastpath])
 
     def finalize(self, end_cycle: int) -> None:
         for channel in self.channels:
@@ -267,10 +279,8 @@ class SdimmDevice:
         self._plain_mapper = AddressMapper(self.channel.organization, 64)
         self.fastpath: Optional[AccessFastPath] = None
         if FASTPATH_ENABLED:
-            banks_per_group = self.channel._banks_per_group
-            producer = (FastLowPowerRuns(self.layout, banks_per_group)
-                        if self.low_power
-                        else FastTreeRuns(self.layout, banks_per_group))
+            producer = (FastLowPowerRuns(self.layout) if self.low_power
+                        else FastTreeRuns(self.layout))
             self.fastpath = AccessFastPath([self.channel], producer,
                                            self.skip_levels, self.crypto,
                                            name, tracer)
@@ -507,12 +517,8 @@ class IndependentBackend:
             device.finalize(end_cycle)
 
     def fastpath_stats(self) -> Tuple[int, int]:
-        attempts = fast = 0
-        for device in self.devices:
-            if device.fastpath is not None:
-                attempts += device.fastpath.attempts
-                fast += device.fastpath.fast_accesses
-        return attempts, fast
+        return _sum_fastpath_stats(
+            device.fastpath for device in self.devices)
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +592,8 @@ class SplitGroupDevice:
             pattern = producer.pattern(leaf, leader.skip_levels)
             if pattern.runs:
                 shares = pattern.slices(self.ways)
-                rank_indices = tuple(rank for _, rank in pattern.sig_ranks)
+                rank_indices = tuple(rank for _, rank
+                                     in pattern.touched_ranks)
         all_fast = shares is not None
         runs = None
         # Step 1: FETCH_DATA — every member pulls its slice of the path.
@@ -720,13 +727,8 @@ class SplitBackend:
             device.finalize(end_cycle)
 
     def fastpath_stats(self) -> Tuple[int, int]:
-        attempts = self.group.fastpath_attempts
-        fast = self.group.fastpath_accesses
-        for device in self.devices:
-            if device.fastpath is not None:
-                attempts += device.fastpath.attempts
-                fast += device.fastpath.fast_accesses
-        return attempts, fast
+        return _sum_fastpath_stats(
+            (device.fastpath for device in self.devices), [self.group])
 
 
 # ----------------------------------------------------------------------
@@ -832,15 +834,8 @@ class IndepSplitBackend:
             device.finalize(end_cycle)
 
     def fastpath_stats(self) -> Tuple[int, int]:
-        attempts = fast = 0
-        for group in self.groups:
-            attempts += group.fastpath_attempts
-            fast += group.fastpath_accesses
-        for device in self.devices:
-            if device.fastpath is not None:
-                attempts += device.fastpath.attempts
-                fast += device.fastpath.fast_accesses
-        return attempts, fast
+        return _sum_fastpath_stats(
+            (device.fastpath for device in self.devices), self.groups)
 
 
 BACKEND_CLASSES = {

@@ -1,21 +1,23 @@
 """Process-wide switches for the hot-path work (memo caches, fast cores).
 
-Two independent toggles, both read once at module-import time:
+Two toggles, both read once at module-import time:
 
-* ``REPRO_DISABLE_MEMO=1`` turns off the pure memoization caches in
+* ``REPRO_REFERENCE_CORE=1`` selects the *reference* core: the
+  straightforward implementations of the hottest simulator functions
+  (closure-based event scheduling in :mod:`repro.sim.events`, the
+  helper-per-constraint ``schedule_run`` in :mod:`repro.dram.channel`,
+  the bank-scanning ``note_activity`` in :mod:`repro.dram.rank`), with
+  the fast path off and the pure memoization caches in
   :mod:`repro.dram.address`, :mod:`repro.oram.layout` and
-  :mod:`repro.crypto.ctr` — they never change a result, only skip
-  recomputing it, so they are on by default.
-* ``REPRO_REFERENCE_CORE=1`` selects the straightforward *reference*
-  implementations of the hottest simulator functions (closure-based
-  event scheduling in :mod:`repro.sim.events`, the helper-per-constraint
-  ``schedule_run`` in :mod:`repro.dram.channel`, the bank-scanning
-  ``note_activity`` in :mod:`repro.dram.rank`) instead of the optimized
-  ones.  Both produce bit-identical simulations — the differential tests
-  in ``tests/test_refcore.py`` and the golden masters pin that — which is
-  how ``benchmarks/bench_speedup.py`` measures the hot-path speedup in
-  two subprocesses, and how a suspicious reader can prove to themselves
-  that the optimizations do not perturb cycles.
+  :mod:`repro.crypto.ctr` off.  Memo caches never change a result, only
+  skip recomputing it.  Both cores produce bit-identical simulations —
+  the differential tests in ``tests/test_refcore.py`` and the golden
+  masters pin that — which is how ``benchmarks/bench_speedup.py``
+  measures the hot-path speedup in two subprocesses, and how a
+  suspicious reader can prove to themselves that the optimizations do
+  not perturb cycles.
+* ``REPRO_DISABLE_FASTPATH=1`` turns off only the macro-event fast path
+  (:mod:`repro.fastpath`), keeping the optimized event core.
 
 Read-once-at-import is the right contract for fresh processes (the
 benchmarks set the variable before spawning), but pool workers are
@@ -35,15 +37,15 @@ from typing import Tuple
 
 #: The A/B environment variables that select which core a process runs.
 #: The pool layer keys warm pools on a snapshot of exactly these.
-SWITCH_ENVS: Tuple[str, ...] = ("REPRO_DISABLE_MEMO",
-                                "REPRO_REFERENCE_CORE",
+SWITCH_ENVS: Tuple[str, ...] = ("REPRO_REFERENCE_CORE",
                                 "REPRO_DISABLE_FASTPATH")
 
 
 def _compute_switches() -> Tuple[bool, bool, bool]:
     """(memo_enabled, reference_core, fastpath_enabled) from the env."""
-    memo_enabled = os.environ.get("REPRO_DISABLE_MEMO", "") != "1"
     reference_core = os.environ.get("REPRO_REFERENCE_CORE", "") == "1"
+    # the reference core is the unmemoized spec: it recomputes everything
+    memo_enabled = not reference_core
     # ``REPRO_DISABLE_FASTPATH=1`` turns off the macro-event replay core
     # (:mod:`repro.fastpath`) without selecting the reference twins — the
     # escape hatch for isolating a suspected fastpath bug from the

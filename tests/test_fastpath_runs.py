@@ -55,21 +55,18 @@ def _tree_cases():
         geometry = TreeGeometry(config.oram.levels)
         layout = TreeLayout(geometry, config.oram, config.organization,
                             config.channels)
-        organization = config.organization
-        banks_per_group = (organization.banks_per_rank //
-                           organization.bank_groups)
-        yield label, config, geometry, layout, banks_per_group
+        yield label, config, geometry, layout
 
 
 TREE_CASES = list(_tree_cases())
 
 
-@pytest.mark.parametrize("label,config,geometry,layout,banks_per_group",
+@pytest.mark.parametrize("label,config,geometry,layout",
                          TREE_CASES, ids=[case[0] for case in TREE_CASES])
 class TestTreeRunsEquality:
     def test_runs_match_layout_everywhere(self, label, config, geometry,
-                                          layout, banks_per_group):
-        fast = FastTreeRuns(layout, banks_per_group)
+                                          layout):
+        fast = FastTreeRuns(layout)
         leaves = _sample_leaves(geometry.leaf_count)
         skips = sorted({0, 1, config.effective_cached_levels,
                         config.oram.levels - 1})
@@ -83,14 +80,14 @@ class TestTreeRunsEquality:
         assert checked >= len(leaves)
 
     def test_pattern_metadata_is_consistent(self, label, config, geometry,
-                                            layout, banks_per_group):
-        fast = FastTreeRuns(layout, banks_per_group)
+                                            layout):
+        fast = FastTreeRuns(layout)
         skip = config.effective_cached_levels
         for leaf in _sample_leaves(geometry.leaf_count)[:24]:
             pattern = fast.pattern(leaf, skip)
             runs = pattern.runs
             # touched ranks: exact set, one entry per (channel, rank)
-            assert sorted(pattern.sig_ranks) == sorted(
+            assert sorted(pattern.touched_ranks) == sorted(
                 {(run[0], run[1]) for run in runs})
             # per-channel grouping covers every run exactly once, in order
             rebuilt = [None] * len(runs)
@@ -103,20 +100,9 @@ class TestTreeRunsEquality:
                     for slot, run5 in zip(slots, part_runs):
                         rebuilt[slot] = (channel,) + run5
             assert tuple(rebuilt) == runs
-            # first-touch banks and touched groups
-            assert sorted(pattern.sig_banks) == sorted(
-                (ch, rank, bank,
-                 next(run[3] for run in runs
-                      if run[0] == ch and run[1] == rank and run[2] == bank))
-                for ch, rank, bank in {(run[0], run[1], run[2])
-                                       for run in runs})
-            assert sorted(pattern.sig_groups) == sorted(
-                {(run[0], run[1], run[2] // banks_per_group)
-                 for run in runs})
 
-    def test_patterns_are_memoized(self, label, config, geometry, layout,
-                                   banks_per_group):
-        fast = FastTreeRuns(layout, banks_per_group)
+    def test_patterns_are_memoized(self, label, config, geometry, layout):
+        fast = FastTreeRuns(layout)
         first = fast.pattern(3, 0)
         assert fast.pattern(3, 0) is first
 
@@ -125,8 +111,8 @@ class TestSliceShares:
     def test_slices_match_sdimm_slice_runs(self):
         from repro.sim.backends import SdimmDevice
 
-        label, config, geometry, layout, banks_per_group = TREE_CASES[0]
-        fast = FastTreeRuns(layout, banks_per_group)
+        label, config, geometry, layout = TREE_CASES[0]
+        fast = FastTreeRuns(layout)
         pattern = fast.pattern(geometry.leaf_count // 3, 0)
         layout_runs = [(address, count) for _channel, address, count
                        in layout.path_runs(geometry.leaf_count // 3, 0)]
@@ -142,8 +128,8 @@ class TestSliceShares:
                 assert shares[way] == expected
 
     def test_slices_are_memoized(self):
-        label, config, geometry, layout, banks_per_group = TREE_CASES[-1]
-        fast = FastTreeRuns(layout, banks_per_group)
+        label, config, geometry, layout = TREE_CASES[-1]
+        fast = FastTreeRuns(layout)
         pattern = fast.pattern(1, 0)
         assert pattern.slices(2) is pattern.slices(2)
 
@@ -157,13 +143,11 @@ class TestLowPowerRunsEquality:
         geometry = TreeGeometry(levels)
         oram = replace(config.oram, levels=levels)
         layout = LowPowerLayout(geometry, oram, organization)
-        banks_per_group = (organization.banks_per_rank //
-                           organization.bank_groups)
-        return geometry, layout, banks_per_group
+        return geometry, layout
 
     def test_runs_match_layout_everywhere(self, case):
-        geometry, layout, banks_per_group = case
-        fast = FastLowPowerRuns(layout, banks_per_group)
+        geometry, layout = case
+        fast = FastLowPowerRuns(layout)
         skips = sorted({0, 1, layout.rank_levels, layout.rank_levels + 1,
                         geometry.levels - 1})
         for skip in skips:
@@ -173,10 +157,10 @@ class TestLowPowerRunsEquality:
                     f"leaf={leaf} skip={skip}"
 
     def test_single_rank_invariant(self, case):
-        geometry, layout, banks_per_group = case
-        fast = FastLowPowerRuns(layout, banks_per_group)
+        geometry, layout = case
+        fast = FastLowPowerRuns(layout)
         for leaf in _sample_leaves(geometry.leaf_count)[:32]:
             pattern = fast.pattern(leaf, 0)
             owner = layout.rank_of_leaf(leaf)
-            assert pattern.sig_ranks == ((0, owner),)
+            assert pattern.touched_ranks == ((0, owner),)
             assert {run[1] for run in pattern.runs} == {owner}

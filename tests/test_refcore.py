@@ -147,6 +147,5 @@ class TestReferenceCoreEndToEnd:
 
     def test_reference_env_matches_optimized(self):
         optimized = self.run_cycles({})
-        reference = self.run_cycles({"REPRO_REFERENCE_CORE": "1",
-                                     "REPRO_DISABLE_MEMO": "1"})
+        reference = self.run_cycles({"REPRO_REFERENCE_CORE": "1"})
         assert optimized == reference
