@@ -80,18 +80,29 @@ class SplitIntegrityError(Exception):
 _COUNTER_BITS = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class _StoreCell:
     """One bucket's slice as it sits in untrusted DRAM.
 
-    Only this way's *slice* of the shared counter is stored (the paper:
-    "half the counter"); the CPU reassembles the full value from all ways.
+    ``image`` is ``metadata ‖ slot0 ‖ … ‖ slotZ-1``, encrypted under one
+    pad for (this way's key, bucket, counter): every region sits at its
+    own offset of that pad, so no two regions share keystream.  Only this
+    way's *slice* of the shared counter is stored (the paper: "half the
+    counter"); the CPU reassembles the full value from all ways.
     """
 
     counter_slice: int
-    metadata_ciphertext: bytes
-    data_ciphertexts: List[bytes]
+    image: bytes
     mac: bytes
+
+
+@dataclass
+class _FetchedImage:
+    """A bucket image pulled into the stash, decrypted on first use."""
+
+    bucket: int
+    image: bytes
+    slices: List["_StashSlice"]
 
 
 @dataclass
@@ -99,8 +110,7 @@ class _StashSlice:
     """One stash slot inside a buffer: ciphertext until counters arrive."""
 
     plaintext: Optional[bytes] = None
-    ciphertext: Optional[bytes] = None
-    origin_bucket: Optional[int] = None
+    fetched: Optional[_FetchedImage] = None
 
 
 @dataclass
@@ -134,7 +144,10 @@ class SplitBuffer:
         self.blocks_per_bucket = blocks_per_bucket
         self.block_bytes = block_bytes
         self.slice_bytes = block_bytes // ways
-        self.meta_slice_bytes = (blocks_per_bucket * _META_ENTRY_BYTES) // ways
+        # bit_slice hands way w the bytes w, w+ways, ...: that count is
+        # this way's metadata prefix in every stored image
+        self.meta_slice_bytes = len(range(
+            way, blocks_per_bucket * _META_ENTRY_BYTES, ways))
         self._cipher = CounterModeCipher(key + bytes([way]))
         self._mac = PmmacAuthenticator(key + bytes([way]))
         self._store: Dict[int, _StoreCell] = {}
@@ -155,14 +168,16 @@ class SplitBuffer:
             if self.record_trace:
                 self.bucket_trace.append(("read", bucket))
             cell = self._store.get(bucket)
-            for slot in range(self.blocks_per_bucket):
-                entry = _StashSlice(origin_bucket=bucket)
-                if cell is None:
-                    entry.plaintext = bytes(self.slice_bytes)
-                else:
-                    entry.ciphertext = cell.data_ciphertexts[slot]
-                self.stash.append(entry)
-                self.local_line_transfers += 1
+            if cell is None:
+                entries = [_StashSlice(plaintext=bytes(self.slice_bytes))
+                           for _ in range(self.blocks_per_bucket)]
+            else:
+                fetched = _FetchedImage(bucket, cell.image, [])
+                entries = [_StashSlice(fetched=fetched)
+                           for _ in range(self.blocks_per_bucket)]
+                fetched.slices = entries
+            self.stash.extend(entries)
+            self.local_line_transfers += self.blocks_per_bucket
 
     # ------------------------------------------------------------------
     # Step 2: metadata reads (regular RAS/CAS, data returns to the CPU)
@@ -181,16 +196,15 @@ class SplitBuffer:
         cell = self._store.get(bucket)
         if cell is None:
             return 0, None
-        payload = cell.metadata_ciphertext + b"".join(cell.data_ciphertexts)
         try:
             self._mac.verify(self._mac_index(bucket), cell.counter_slice,
-                             payload, cell.mac)
+                             cell.image, cell.mac)
         except MacError as error:
             raise SplitIntegrityError(
                 f"bucket {bucket} slice failed its way-{self.way} MAC: "
                 f"{error}", bucket=bucket, way=self.way,
                 kind="mac") from error
-        return cell.counter_slice, cell.metadata_ciphertext
+        return cell.counter_slice, cell.image[:self.meta_slice_bytes]
 
     def _mac_index(self, bucket: int) -> int:
         return bucket * self.ways + self.way
@@ -211,12 +225,17 @@ class SplitBuffer:
 
     def _materialize(self, entry: _StashSlice,
                      counters: Dict[int, int]) -> None:
+        """Decrypt the entry's whole fetched image, filling every slot."""
         if entry.plaintext is not None:
             return
-        counter = counters[entry.origin_bucket]
-        entry.plaintext = self._cipher.decrypt(entry.ciphertext,
-                                               entry.origin_bucket, counter)
-        entry.ciphertext = None
+        fetched = entry.fetched
+        plaintext = self._cipher.decrypt(fetched.image, fetched.bucket,
+                                         counters[fetched.bucket])
+        offset = self.meta_slice_bytes
+        for piece in fetched.slices:
+            piece.plaintext = plaintext[offset:offset + self.slice_bytes]
+            piece.fetched = None
+            offset += self.slice_bytes
 
     # ------------------------------------------------------------------
     # Step 5: RECEIVE_LIST
@@ -233,8 +252,9 @@ class SplitBuffer:
 
         ``placements[i][slot]`` names the stash index whose slice fills
         ``path_buckets[i]``'s ``slot`` (None = dummy).  All referenced
-        slices are decrypted with ``old_counters``, re-encrypted under the
-        bucket's ``new_counters[i]``, and stored with fresh MACs.  Placed
+        slices are decrypted with ``old_counters``; each bucket's metadata
+        and slot slices are then re-encrypted as one image under the
+        bucket's ``new_counters[i]`` and stored with a fresh MAC.  Placed
         and discarded indices are then removed, keeping this stash aligned
         with the CPU's shadow.
         """
@@ -244,35 +264,26 @@ class SplitBuffer:
         for entry in self.stash:
             self._materialize(entry, old_counters)
         if 0 <= updated_index < len(self.stash):
-            entry = self.stash[updated_index]
-            entry.plaintext = updated_slice
-            entry.ciphertext = None
+            self.stash[updated_index].plaintext = updated_slice
         consumed = set(discard_indices)
+        dummy = bytes(self.slice_bytes)
         for bucket, slots, metadata, counter in zip(
                 path_buckets, placements, metadata_slices, new_counters):
             if self.record_trace:
                 self.bucket_trace.append(("write", bucket))
-            data_ciphertexts = []
+            pieces = [metadata]
             for slot_index in slots:
                 if slot_index is None:
-                    plaintext = bytes(self.slice_bytes)
+                    pieces.append(dummy)
                 else:
-                    entry = self.stash[slot_index]
-                    self._materialize(entry, old_counters)
-                    plaintext = entry.plaintext
+                    pieces.append(self.stash[slot_index].plaintext)
                     consumed.add(slot_index)
-                data_ciphertexts.append(
-                    self._cipher.encrypt(plaintext, bucket, counter))
-            metadata_ciphertext = self._cipher.encrypt(metadata, bucket,
-                                                       counter)
+            image = self._cipher.encrypt(b"".join(pieces), bucket, counter)
             counter_slice = split_bits_round_robin(
                 counter, _COUNTER_BITS, self.ways)[self.way]
-            payload = metadata_ciphertext + b"".join(data_ciphertexts)
             mac = self._mac.tag(self._mac_index(bucket), counter_slice,
-                                payload)
-            self._store[bucket] = _StoreCell(counter_slice,
-                                             metadata_ciphertext,
-                                             data_ciphertexts, mac)
+                                image)
+            self._store[bucket] = _StoreCell(counter_slice, image, mac)
             self.writes += 1
         self.stash = [entry for index, entry in enumerate(self.stash)
                       if index not in consumed]
@@ -280,18 +291,17 @@ class SplitBuffer:
     # ------------------------------------------------------------------
 
     def tamper_bucket(self, bucket: int) -> None:
-        """Adversarial hook: flip a bit of a stored data slice."""
+        """Adversarial hook: flip a bit of slot 0's data in the image."""
         cell = self._store[bucket]
-        first = cell.data_ciphertexts[0]
-        cell.data_ciphertexts[0] = bytes([first[0] ^ 1]) + first[1:]
+        offset = self.meta_slice_bytes
+        image = bytearray(cell.image)
+        image[offset] ^= 1
+        self._store[bucket] = _StoreCell(cell.counter_slice, bytes(image),
+                                         cell.mac)
 
     def snapshot_bucket(self, bucket: int) -> Optional[_StoreCell]:
-        """Copy one bucket's raw cell (fault-injection save point)."""
-        cell = self._store.get(bucket)
-        if cell is None:
-            return None
-        return _StoreCell(cell.counter_slice, cell.metadata_ciphertext,
-                          list(cell.data_ciphertexts), cell.mac)
+        """One bucket's raw cell (fault-injection save point)."""
+        return self._store.get(bucket)
 
     def restore_bucket(self, bucket: int,
                        cell: Optional[_StoreCell]) -> None:
@@ -490,7 +500,7 @@ class SplitProtocol:
         start = self.clock.now
         for way, buffer in enumerate(self.buffers):
             self.link.up(SdimmCommand.FETCH_STASH, way, 8)
-            piece = buffer.fetch_stash(base_index, old_counters)
+            buffer.fetch_stash(base_index, old_counters)
             self.link.down(SdimmCommand.FETCH_STASH, way,
                            buffer.slice_bytes)
         self._phase_span("FETCH_STASH", start)

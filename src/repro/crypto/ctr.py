@@ -1,18 +1,24 @@
 """Counter-mode pad encryption for buckets and link messages.
 
 Counter mode XORs plaintext with a pad that is a function of (key, nonce,
-counter).  Its two properties matter to the ORAM protocols:
+counter), drawn from the keyed SHAKE-256 PRF in one call.  Its two
+properties matter to the ORAM protocols:
 
 * the pad can be computed before data arrives, hiding decryption latency
   (the paper's 21-cycle crypto pipeline), and
 * re-encrypting a bucket after an access requires only bumping its counter,
   so identical plaintexts never produce identical ciphertexts.
 
-The functional tier decrypts and immediately re-encrypts every bucket it
-touches, so each (nonce, counter) pad is requested at least twice; the
-cipher keeps a bounded cache of derived keystreams (the emulation of the
-hardware pipeline's pad precomputation) and XORs through large-integer
-arithmetic instead of a per-byte generator.
+A pad must cover exactly one stored image: callers encrypt a whole bucket
+(in Split, one way's whole bucket image) in one call, never several
+pieces under the same (nonce, counter).
+
+The functional tier writes every bucket and later reads it back at the same
+counter, so each pad is requested at least twice.  The cipher keeps one
+cache entry per nonce, holding the keystream of the latest counter seen
+(the emulation of the hardware pipeline's pad precomputation); a counter
+bump replaces it, so only live pads are kept.  The XOR runs through
+large-integer arithmetic instead of a per-byte generator.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.crypto.prf import Prf
-from repro.utils.memo import DEFAULT_MEMO_CAP, MEMO_ENABLED
+from repro.utils.memo import MEMO_ENABLED
 
 
 class CounterModeCipher:
@@ -28,19 +34,19 @@ class CounterModeCipher:
 
     def __init__(self, key: bytes):
         self._prf = Prf(key)
-        self._pad_cache: Dict[Tuple[int, int], bytes] = {}
+        #: nonce -> (latest counter, its keystream)
+        self._pad_cache: Dict[int, Tuple[int, bytes]] = {}
 
     def pad(self, nonce: int, counter: int, length: int) -> bytes:
         """The keystream for a given (nonce, counter) pair."""
-        cached = self._pad_cache.get((nonce, counter))
-        if cached is not None and len(cached) >= length:
-            return cached[:length]
+        cached = self._pad_cache.get(nonce)
+        if cached is not None and cached[0] == counter and \
+                len(cached[1]) >= length:
+            return cached[1][:length]
         seed = nonce.to_bytes(8, "little") + counter.to_bytes(8, "little")
         keystream = self._prf.evaluate(b"pad:" + seed, length)
-        if MEMO_ENABLED:
-            if len(self._pad_cache) >= DEFAULT_MEMO_CAP:
-                self._pad_cache.clear()
-            self._pad_cache[(nonce, counter)] = keystream
+        if MEMO_ENABLED and (cached is None or counter >= cached[0]):
+            self._pad_cache[nonce] = (counter, keystream)
         return keystream
 
     def encrypt(self, plaintext: bytes, nonce: int, counter: int) -> bytes:

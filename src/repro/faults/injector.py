@@ -344,11 +344,14 @@ class SplitFaultDriver:
 
     A Split access always reads the root bucket's metadata, so faults
     target bucket 0 — detection is guaranteed whenever the site is
-    accessed at all.  ``buffers_by_site`` maps a site ID (the group for
-    INDEP-SPLIT, 0 for plain Split) to that site's way buffers;
-    :meth:`heal_for` builds the callback a
-    :class:`~repro.faults.recovery.SplitResilienceHandle` invokes on
-    every verification failure.
+    accessed at all.  A bit-flip lands in slot 0's data region of the
+    bucket's stored image (``metadata ‖ slot0 ‖ …``, one ciphertext per
+    way), which the per-way MAC covers; a snapshot is the immutable
+    stored cell, so a replay puts back a whole stale image.
+    ``buffers_by_site`` maps a site ID (the group for INDEP-SPLIT, 0 for
+    plain Split) to that site's way buffers; :meth:`heal_for` builds the
+    callback a :class:`~repro.faults.recovery.SplitResilienceHandle`
+    invokes on every verification failure.
     """
 
     TARGET_BUCKET = 0

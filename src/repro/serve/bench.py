@@ -164,8 +164,15 @@ class ServeSpec:
         return specs
 
 
-def build_serving_protocol(spec: ServeSpec):
-    """One protocol instance wired for serving (link metering on)."""
+def build_serving_protocol(spec: ServeSpec, shard: Optional[int] = None):
+    """One protocol instance wired for serving (link metering on).
+
+    Each shard of a sharded system is its own set of SDIMMs, so it gets
+    its own key: shards number their buckets alike, and a shared key
+    would hand two shards the same pad for the same (bucket, counter).
+    """
+    key = _SERVE_KEY if shard is None else \
+        _SERVE_KEY + b"/shard" + shard.to_bytes(2, "little")
     if spec.design == "independent":
         from repro.core.independent import IndependentProtocol
 
@@ -174,7 +181,7 @@ def build_serving_protocol(spec: ServeSpec):
             blocks_per_bucket=spec.blocks_per_bucket,
             block_bytes=spec.block_bytes,
             stash_capacity=spec.stash_capacity, seed=spec.seed,
-            record_link=True, encryption_key=_SERVE_KEY)
+            record_link=True, encryption_key=key)
     if spec.design == "split":
         from repro.core.split import SplitProtocol
 
@@ -183,7 +190,7 @@ def build_serving_protocol(spec: ServeSpec):
             blocks_per_bucket=spec.blocks_per_bucket,
             block_bytes=spec.block_bytes,
             stash_capacity=spec.stash_capacity, seed=spec.seed,
-            key=_SERVE_KEY, record_link=True)
+            key=key, record_link=True)
     from repro.core.indep_split import IndepSplitProtocol
 
     return IndepSplitProtocol(
@@ -191,7 +198,7 @@ def build_serving_protocol(spec: ServeSpec):
         blocks_per_bucket=spec.blocks_per_bucket,
         block_bytes=spec.block_bytes,
         stash_capacity=spec.stash_capacity, seed=spec.seed,
-        key=_SERVE_KEY, record_link=True)
+        key=key, record_link=True)
 
 
 def generate_requests(spec: ServeSpec):

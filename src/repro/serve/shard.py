@@ -226,7 +226,7 @@ def run_shard(spec: ShardSpec, shard: int) -> Dict[str, object]:
         raise ValueError(f"shard {shard} out of range")
     routed = route_requests(spec)
     mine = [request for owner, request in routed if owner == shard]
-    protocol = build_serving_protocol(spec)
+    protocol = build_serving_protocol(spec, shard)
     if shard in spec.quarantined:
         # a whole-shard outage: every site of this shard's protocol is
         # quarantined, so each access runs the degraded (link-shape

@@ -12,6 +12,7 @@ from repro.crypto import (
     Prf,
     establish_session,
 )
+from repro.crypto import ctr
 from repro.crypto.mac import MacError
 from repro.crypto.session import AuthenticationError, BufferIdentity
 
@@ -52,6 +53,26 @@ class TestPrf:
         for bits in (1, 8, 31, 64):
             assert prf.evaluate_int(b"x", bits) < (1 << bits)
 
+    def test_known_answer(self):
+        """Pinned output: SHAKE-256(len(key) || key || message).  A change
+        here changes every pad, MAC and derived key; make it on purpose."""
+        assert Prf(KEY_A).evaluate(b"pad:known-answer", 32).hex() == (
+            "44c9dde8fb4a98bdf623efbb3eefb139"
+            "5435803b490ab3ae98257d001277a63d")
+
+    def test_key_length_domain_separation(self):
+        """The absorbed key length keeps key || message unambiguous."""
+        assert Prf(KEY_A).evaluate(b"\x01msg") != \
+            Prf(KEY_A + b"\x01").evaluate(b"msg")
+        assert Prf(KEY_A).evaluate(b"msg") != \
+            Prf(KEY_A + b"\x01").evaluate(b"msg")
+
+    def test_prefix_consistency_across_pad_sizes(self):
+        prf = Prf(KEY_A)
+        longest = prf.evaluate(b"pad:bucket", 330)
+        for length in (8, 32, 160, 330):
+            assert prf.evaluate(b"pad:bucket", length) == longest[:length]
+
 
 class TestCounterMode:
     @given(st.binary(max_size=256), st.integers(min_value=0, max_value=2**32),
@@ -75,6 +96,24 @@ class TestCounterMode:
         cipher = CounterModeCipher(KEY_A)
         ciphertext = cipher.encrypt(b"secret block", 0, 5)
         assert cipher.decrypt(ciphertext, 0, 6) != b"secret block"
+
+    def test_pad_cache_matches_a_fresh_cipher(self):
+        """Per-nonce cache: stale counter, new counter, longer length."""
+        cached = CounterModeCipher(KEY_A)
+        cached.pad(5, 2, 64)
+        for counter, length in ((2, 32), (1, 64), (3, 64), (2, 64),
+                                (3, 330), (2, 330), (3, 160)):
+            assert cached.pad(5, counter, length) == \
+                CounterModeCipher(KEY_A).pad(5, counter, length)
+
+    def test_pad_cache_keeps_only_the_latest_counter(self):
+        cipher = CounterModeCipher(KEY_A)
+        for counter in range(1, 6):
+            cipher.pad(9, counter, 64)
+        cipher.pad(9, 2, 64)  # a stale read does not evict the live pad
+        live = {9: (5, CounterModeCipher(KEY_A).pad(9, 5, 64))}
+        # the reference core runs unmemoized
+        assert cipher._pad_cache == (live if ctr.MEMO_ENABLED else {})
 
     def test_pad_precomputable(self):
         cipher = CounterModeCipher(KEY_A)

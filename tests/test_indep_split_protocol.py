@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.core.commands import SdimmCommand
 from repro.core.indep_split import IndepSplitProtocol
 from repro.oram.path_oram import Op
+from repro.utils.bitops import bit_slice
+from tests.keystream import slot_region_reuse
 
 
 def make_protocol(levels=8, groups=2, ways=2, seed=2018, p=0.1, **kwargs):
@@ -84,6 +86,23 @@ class TestStructure:
         drains = sum(group.queue.drain_services
                      for group in protocol.groups)
         assert drains > 0
+
+
+class TestKeystreamFreshness:
+    def test_no_slot_regions_share_a_pad(self):
+        """Regression: INDEP-SPLIT stores buckets through SplitBuffer, so it
+        shared Split's one-pad-per-slice keystream reuse."""
+        protocol = make_protocol(levels=6, groups=2, ways=2)
+        written = []
+        for address in range(20):
+            protocol.write(address, payload(address + 1))
+            written.extend(bit_slice(payload(address + 1), way, 2)
+                           for way in range(2))
+        buffers = [buffer for group in protocol.groups
+                   for buffer in group.split.buffers]
+        equal, xor_hits = slot_region_reuse(buffers, written)
+        assert equal == 0
+        assert xor_hits == 0
 
 
 class TestObliviousness:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.core.commands import SdimmCommand
 from repro.core.split import SplitIntegrityError, SplitProtocol
 from repro.oram.path_oram import Op
+from repro.utils.bitops import bit_slice
+from tests.keystream import slot_region_reuse
 
 
 def make_protocol(levels=6, ways=2, seed=2018, **kwargs):
@@ -76,11 +78,12 @@ class TestSlicing:
         secret = bytes(range(16))
         protocol.write(1, secret)
         for buffer in protocol.buffers:
-            cells = buffer._store.values()
-            for cell in cells:
-                for ciphertext in cell.data_ciphertexts:
-                    assert len(ciphertext) == 8  # 16 bytes / 2 ways
-                    assert secret not in ciphertext
+            assert buffer.slice_bytes == 8  # 16 bytes / 2 ways
+            assert buffer.meta_slice_bytes == 32  # 4 slots x 16 B / 2
+            for cell in buffer._store.values():
+                # metadata ‖ slot0 ‖ … ‖ slot3, one image per bucket-way
+                assert len(cell.image) == 32 + 4 * 8
+                assert secret not in cell.image
 
     def test_stashes_stay_aligned(self):
         protocol = make_protocol()
@@ -117,6 +120,22 @@ class TestSlicing:
             if sample_bucket in buffer._store:
                 macs_per_bucket += 1
         assert macs_per_bucket == 4
+
+
+class TestKeystreamFreshness:
+    def test_no_slot_regions_share_a_pad(self):
+        """Regression: every slice of a bucket was once encrypted under the
+        same (bucket, counter) pad, so a dummy slot's ciphertext *was* the
+        pad and XOR-ing it with a real slot recovered the data slice."""
+        protocol = make_protocol(levels=6, ways=2)
+        written = []
+        for address in range(20):
+            protocol.write(address, payload(address + 1))
+            written.extend(bit_slice(payload(address + 1), way, 2)
+                           for way in range(2))
+        equal, xor_hits = slot_region_reuse(protocol.buffers, written)
+        assert equal == 0
+        assert xor_hits == 0
 
 
 class TestIntegrity:
