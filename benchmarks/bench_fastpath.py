@@ -1,9 +1,9 @@
-"""Differential fast-vs-reference gate: equality first, speedup second.
+"""Differential fast-vs-event gate: equality first, speedup second.
 
 For each (design, workload) point this runs the simulation twice in
 fresh interpreters — once with the macro-event fast path (the default)
-and once with ``REPRO_REFERENCE_CORE=1`` (the readable event-at-a-time
-core, no memo caches) — and
+and once with ``REPRO_DISABLE_FASTPATH=1`` (the event-at-a-time core,
+the fast path's differential oracle) — and
 
 1. **fails** unless every observable is byte-identical: execution
    cycles, per-phase attribution, channel counters, rank residencies,
@@ -48,7 +48,8 @@ DIFF_WORKLOADS = ("mcf", "gromacs")
 MIN_SPEEDUP = 2.0
 
 #: Runs one point and prints {digest, wall_s}; wall excludes interpreter
-#: startup.  The core toggles are read at import, hence the subprocess.
+#: startup.  Each side runs in a fresh interpreter so neither inherits the
+#: other's warm memo caches.
 DRIVER = r"""
 import hashlib, json, sys, time
 
@@ -90,16 +91,14 @@ print(json.dumps({
 }, sort_keys=True))
 """
 
-REFERENCE_ENV = {"REPRO_REFERENCE_CORE": "1"}
-_CORE_SWITCHES = ("REPRO_REFERENCE_CORE", "REPRO_DISABLE_FASTPATH")
+EVENT_ENV = {"REPRO_DISABLE_FASTPATH": "1"}
 
 
 def run_point(design: str, workload: str, trace_length: int,
               repeats: int, env_extra: Dict[str, str]) -> Dict[str, object]:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    for switch in _CORE_SWITCHES:
-        env.pop(switch, None)
+    env.pop("REPRO_DISABLE_FASTPATH", None)
     env.update(env_extra)
     proc = subprocess.run(
         [sys.executable, "-c", DRIVER, design, workload,
@@ -120,18 +119,18 @@ def measure_fastpath(trace_length: int = 1200, repeats: int = 3,
     for design in designs:
         for workload in workloads:
             fast = run_point(design, workload, trace_length, repeats, {})
-            reference = run_point(design, workload, trace_length,
-                                  max(1, repeats - 1), REFERENCE_ENV)
+            event = run_point(design, workload, trace_length,
+                              max(1, repeats - 1), EVENT_ENV)
             points.append({
                 "design": design,
                 "workload": workload,
-                "identical": fast["digest"] == reference["digest"],
+                "identical": fast["digest"] == event["digest"],
                 "execution_cycles":
                     fast["digest"]["execution_cycles"],
                 "fastpath_hit_rate": fast["fastpath_hit_rate"],
                 "fast_wall_s": fast["wall_s"],
-                "reference_wall_s": reference["wall_s"],
-                "speedup": reference["wall_s"] / fast["wall_s"],
+                "event_wall_s": event["wall_s"],
+                "speedup": event["wall_s"] / fast["wall_s"],
             })
     speedups = [point["speedup"] for point in points]
     return {
@@ -161,7 +160,7 @@ def merge_into(out_path: str, fastpath: Dict[str, object]) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="differential fast-vs-reference gate")
+        description="differential fast-vs-event gate")
     parser.add_argument("--trace-length", type=int, default=1200)
     parser.add_argument("--repeats", type=int, default=3,
                         help="fast-side runs per point (best-of)")
@@ -177,7 +176,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  {point['design']:12s} {point['workload']:10s} "
               f"{'identical' if point['identical'] else 'DIVERGED '} "
               f"hit={point['fastpath_hit_rate']:.3f} "
-              f"{point['reference_wall_s'] * 1e3:7.1f} ms -> "
+              f"{point['event_wall_s'] * 1e3:7.1f} ms -> "
               f"{point['fast_wall_s'] * 1e3:7.1f} ms "
               f"({point['speedup']:.2f}x)")
     print(f"geomean speedup      {fastpath['geomean_speedup']:.2f}x "
@@ -187,7 +186,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.out}")
 
     if not fastpath["cycles_identical"]:
-        print("FAIL: fast core diverged from the reference core",
+        print("FAIL: fast core diverged from the event core",
               file=sys.stderr)
         return 1
     if fastpath["geomean_speedup"] < args.min_speedup:

@@ -12,7 +12,7 @@ Four steps, all through the ledger schema (:mod:`repro.obs.ledger`):
    *in the core*: on a single-core box the recorded speedup is a caveat
    (``single_core_caveat: true``), not a regression, and pretending
    otherwise would poison every future comparison.
-3. **Measure the fast-path A/B** — the differential fast-vs-reference
+3. **Measure the fast-path A/B** — the differential fast-vs-event
    sweep from :mod:`bench_fastpath` (byte-identity is a hard gate,
    speedup is recorded per point).
 4. **Write** the fresh records to ``BENCH_pr8.json`` and (with
@@ -166,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"fastpath A/B         "
           f"{'identical' if fastpath['cycles_identical'] else 'DIVERGED'}  "
           f"geomean {fastpath['geomean_speedup']:.2f}x "
-          f"(min {fastpath['min_speedup']:.2f}x) vs reference core")
+          f"(min {fastpath['min_speedup']:.2f}x) vs event core")
     print(f"cpu_count            {scaling['cpu_count']}"
           + ("  (single-core caveat: speedup is not expected)"
              if scaling["single_core_caveat"] else ""))
@@ -188,7 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("FAIL: gate suite not self-consistent", file=sys.stderr)
         return 1
     if not fastpath["cycles_identical"]:
-        print("FAIL: fast core diverged from the reference core",
+        print("FAIL: fast core diverged from the event core",
               file=sys.stderr)
         return 1
     return 0

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.crypto.prf import Prf
-from repro.utils.memo import MEMO_ENABLED
 
 
 class CounterModeCipher:
@@ -45,7 +44,7 @@ class CounterModeCipher:
             return cached[1][:length]
         seed = nonce.to_bytes(8, "little") + counter.to_bytes(8, "little")
         keystream = self._prf.evaluate(b"pad:" + seed, length)
-        if MEMO_ENABLED and (cached is None or counter >= cached[0]):
+        if cached is None or counter >= cached[0]:
             self._pad_cache[nonce] = (counter, keystream)
         return keystream
 

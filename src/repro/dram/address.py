@@ -15,7 +15,7 @@ from typing import Dict
 
 from repro.config import DramOrganization
 from repro.utils.bitops import extract_bits, log2_exact
-from repro.utils.memo import DEFAULT_MEMO_CAP, MEMO_ENABLED
+from repro.utils.memo import DEFAULT_MEMO_CAP
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,9 @@ class AddressMapper:
             low += width
         decoded = DecodedAddress(rank=fields["rank"], bank=fields["bank"],
                                  row=fields["row"], column=fields["column"])
-        if MEMO_ENABLED:
-            if len(self._decode_cache) >= DEFAULT_MEMO_CAP:
-                self._decode_cache.clear()
-            self._decode_cache[line_address] = decoded
+        if len(self._decode_cache) >= DEFAULT_MEMO_CAP:
+            self._decode_cache.clear()
+        self._decode_cache[line_address] = decoded
         return decoded
 
     def encode(self, decoded: DecodedAddress) -> int:

@@ -20,7 +20,6 @@ from repro.dram.bank import ScaledTiming
 from repro.dram.commands import PowerState, RowBufferOutcome
 from repro.dram.rank import Rank
 from repro.obs.tracer import CATEGORY_DRAM, NULL_TRACER, Tracer
-from repro.utils.memo import REFERENCE_CORE
 
 _request_ids = itertools.count()
 
@@ -174,15 +173,12 @@ class Channel:
         a pure-Python path access affordable.
 
         This is the hottest function of a timing-tier run, so the body
-        trades the helper-per-constraint style of
-        :meth:`_schedule_run_reference` for hoisted locals and inline
-        comparisons.  Both versions apply the same constraint chain and
-        are cycle-identical (``tests/test_refcore.py`` checks them against
-        each other; ``REPRO_REFERENCE_CORE=1`` selects the reference one).
+        trades the helper-per-constraint style of :meth:`schedule_access`
+        for hoisted locals and inline comparisons.  Timings, counters and
+        bus state match the :meth:`schedule_access` loop exactly
+        (``tests/test_refcore.py``); only rank residency differs, since a
+        run notes activity once instead of after every CAS.
         """
-        if REFERENCE_CORE:
-            return self._schedule_run_reference(address, count, is_write,
-                                                earliest)
         if count < 1:
             raise ValueError("run must cover at least one line")
         if address.column + count > self._row_lines:
@@ -242,6 +238,8 @@ class Channel:
             if ready > cas_issue:
                 cas_issue = ready
 
+        # within one bank, CAS pace at max(tBURST, tCCD_L): DDR4 streaming
+        # inside one bank group leaves bubbles (DDR3: equal, gapless)
         tburst = t.tburst
         tccd_l = t.tccd_l
         stride = tburst if tburst > tccd_l else tccd_l
@@ -268,76 +266,6 @@ class Channel:
             self.tracer.span("burst", CATEGORY_DRAM, self.name,
                              data_start, data_end, rank=rank_index,
                              bank=address.bank, row=row,
-                             write=int(is_write), lines=count,
-                             outcome=outcome.value)
-        return AccessTiming(cas_issue, data_start, data_end, outcome)
-
-    def _schedule_run_reference(self, address: DecodedAddress, count: int,
-                                is_write: bool, earliest: int) -> AccessTiming:
-        """Reference :meth:`schedule_run`: one helper per DDR constraint.
-
-        Kept as the readable specification of the constraint chain and as
-        the baseline side of the hot-path benchmark
-        (``benchmarks/bench_speedup.py``).
-        """
-        if count < 1:
-            raise ValueError("run must cover at least one line")
-        if address.column + count > self.organization.row_bytes // 64:
-            raise ValueError("run crosses a row boundary")
-        rank = self.ranks[address.rank]
-        start = max(earliest, 0)
-        start = rank.wake(start)
-        start = rank.maybe_refresh(start)
-        bank = rank.banks[address.bank]
-
-        outcome = bank.classify(address.row)
-        if outcome is RowBufferOutcome.CONFLICT:
-            precharge_time = max(start, bank.ready_precharge)
-            bank.precharge(precharge_time)
-            self.counters.precharges += 1
-        if bank.open_row is None:
-            activate_time = max(start, bank.ready_activate)
-            activate_time = rank.earliest_activate(activate_time)
-            bank.activate(activate_time, address.row)
-            rank.record_activate(activate_time)
-            self.counters.activates += 1
-
-        cas_latency = self.timing.tcwl if is_write else self.timing.tcl
-        cas_issue = max(start, bank.ready_cas,
-                        self._group_cas_ready(address))
-        cas_issue = max(cas_issue, self._bus_ready(address.rank) - cas_latency)
-        if not is_write:
-            cas_issue = max(cas_issue,
-                            self._write_to_read_ready.get(address.rank, 0))
-
-        # within one bank, CAS pace at max(tBURST, tCCD_L): DDR4 streaming
-        # inside one bank group leaves bubbles (DDR3: equal, gapless)
-        stride = max(self.timing.tburst, self.timing.tccd_l)
-        data_start = cas_issue + cas_latency
-        data_end = data_start + (count - 1) * stride + self.timing.tburst
-        last_cas = cas_issue + (count - 1) * stride
-
-        if is_write:
-            bank.write(last_cas)
-            self._write_to_read_ready[address.rank] = (
-                data_end + self.timing.twtr)
-            self.counters.writes += count
-        else:
-            bank.read(last_cas)
-            self.counters.reads += count
-        self._note_cas(address, last_cas)
-        self._bus_free = data_end
-        self._last_bus_rank = address.rank
-        self._last_bus_was_write = is_write
-        self.counters.note_outcome(outcome)
-        if count > 1:
-            self.counters.row_hits += count - 1
-        self.counters.busy_cycles += count * self.timing.tburst
-        rank.note_activity(data_end)
-        if self.tracer.enabled:
-            self.tracer.span("burst", CATEGORY_DRAM, self.name,
-                             data_start, data_end, rank=address.rank,
-                             bank=address.bank, row=address.row,
                              write=int(is_write), lines=count,
                              outcome=outcome.value)
         return AccessTiming(cas_issue, data_start, data_end, outcome)

@@ -13,7 +13,6 @@ from typing import Dict, List
 
 from repro.dram.bank import Bank, ScaledTiming
 from repro.dram.commands import PowerState
-from repro.utils.memo import REFERENCE_CORE
 
 #: States note_activity leaves untouched (the low-power manager owns them).
 _PARKED = (PowerState.POWER_DOWN, PowerState.SELF_REFRESH)
@@ -155,9 +154,6 @@ class Rank:
         to ACTIVE_STANDBY and can be skipped.  Residency bookkeeping is
         identical to :meth:`note_activity`.
         """
-        if REFERENCE_CORE:
-            self.note_activity(now)
-            return
         state = self.power_state
         if state is PowerState.ACTIVE_STANDBY or state in _PARKED:
             return

@@ -14,7 +14,7 @@ callers check via :func:`pass_eligible`; refreshes are handled inline),
 ``stamp_pass`` leaves every bank, rank, bus, and counter field
 byte-identical to a ``schedule_run`` loop over the same runs, and the
 batched events are byte-identical to the tracer's.  The differential
-tests against ``REPRO_REFERENCE_CORE=1`` pin this.
+tests against the event core (``REPRO_DISABLE_FASTPATH=1``) pin this.
 """
 
 from __future__ import annotations

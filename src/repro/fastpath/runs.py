@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.utils.memo import DEFAULT_MEMO_CAP, MEMO_ENABLED
+from repro.utils.memo import DEFAULT_MEMO_CAP
 
 #: One run: ``(channel, rank, bank, row, column, count)``.
 Run6 = Tuple[int, int, int, int, int, int]
@@ -195,10 +195,9 @@ class FastTreeRuns:
         pattern = PathPattern(tuple(runs),
                               tuple(runs5) if channels == 1 else None,
                               touched_ranks)
-        if MEMO_ENABLED:
-            if len(self._cache) >= DEFAULT_MEMO_CAP:
-                self._cache.clear()
-            self._cache[key] = pattern
+        if len(self._cache) >= DEFAULT_MEMO_CAP:
+            self._cache.clear()
+        self._cache[key] = pattern
         return pattern
 
 
@@ -263,8 +262,7 @@ class FastLowPowerRuns:
                 line += take
                 remaining -= take
         pattern = PathPattern(tuple(runs), tuple(runs5), ((0, rank),))
-        if MEMO_ENABLED:
-            if len(self._cache) >= DEFAULT_MEMO_CAP:
-                self._cache.clear()
-            self._cache[key] = pattern
+        if len(self._cache) >= DEFAULT_MEMO_CAP:
+            self._cache.clear()
+        self._cache[key] = pattern
         return pattern

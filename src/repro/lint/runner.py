@@ -272,7 +272,8 @@ def _supersession_aliases(all_rules_by_id: Dict[str, Rule],
 
 def _unused_suppression_findings(
         path: str, index: SuppressionIndex, active_ids: Set[str],
-        aliases: Dict[str, Set[str]]) -> Iterator[Finding]:
+        aliases: Dict[str, Set[str]],
+        registered_ids: Set[str]) -> Iterator[Finding]:
     for directive in index.directives:
         scope = directive.scope
         for token in directive.tokens:
@@ -282,8 +283,10 @@ def _unused_suppression_findings(
                                    directive.file_level)
                 continue
             judged = aliases.get(token, {token})
-            if token not in active_ids and token not in aliases:
+            if token in registered_ids and token not in active_ids and \
+                    token not in aliases:
                 continue   # rule did not run; cannot judge the directive
+            # a token naming no registered rule (a typo) suppresses nothing
             if any((scope, candidate) in index.used
                    for candidate in sorted(judged)):
                 continue
@@ -377,9 +380,11 @@ def lint_paths(paths: Iterable[str],
             active_ids = {rule.rule_id for rule in active
                           if not rule.synthetic}
             aliases = _supersession_aliases(by_id, active_ids)
+            registered_ids = set(by_id)
             for path in sorted(suppressions):
                 result.findings.extend(_unused_suppression_findings(
-                    path, suppressions[path], active_ids, aliases))
+                    path, suppressions[path], active_ids, aliases,
+                    registered_ids))
 
     result.findings.sort(key=_SORT_KEY)
     return result

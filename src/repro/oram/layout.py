@@ -20,7 +20,7 @@ from repro.config import DramOrganization, OramConfig
 from repro.dram.address import DecodedAddress
 from repro.oram.tree import TreeGeometry
 from repro.utils.bitops import log2_exact
-from repro.utils.memo import DEFAULT_MEMO_CAP, MEMO_ENABLED
+from repro.utils.memo import DEFAULT_MEMO_CAP
 
 
 def subtree_packed_index(geometry: TreeGeometry, bucket: int,
@@ -174,10 +174,9 @@ class TreeLayout:
                     for address, run_count in _split_rows(
                         self._decoder, first // self.channels, count))
         result = tuple(runs)
-        if MEMO_ENABLED:
-            if len(self._runs_cache) >= DEFAULT_MEMO_CAP:
-                self._runs_cache.clear()
-            self._runs_cache[cache_key] = result
+        if len(self._runs_cache) >= DEFAULT_MEMO_CAP:
+            self._runs_cache.clear()
+        self._runs_cache[cache_key] = result
         return result
 
 
@@ -278,8 +277,7 @@ class LowPowerLayout:
                 self.oram.lines_per_bucket):
             runs.extend(_split_rows(decoder, begin, end - begin))
         result = tuple(runs)
-        if MEMO_ENABLED:
-            if len(self._runs_cache) >= DEFAULT_MEMO_CAP:
-                self._runs_cache.clear()
-            self._runs_cache[cache_key] = result
+        if len(self._runs_cache) >= DEFAULT_MEMO_CAP:
+            self._runs_cache.clear()
+        self._runs_cache[cache_key] = result
         return result

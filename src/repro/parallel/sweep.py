@@ -184,92 +184,62 @@ def fold_metrics(target: MetricsRegistry, payload: Dict[str, object]) -> None:
 # The engine
 # ----------------------------------------------------------------------
 
-def make_pool(jobs: int, initializer=None, initargs=()):
+def make_pool(jobs: int):
     """A worker pool, or ``None`` when the platform cannot provide one.
 
     :func:`warm_pool` builds every pool of the tree through it.
-    ``initializer`` runs once in each worker at pool start — the
-    warm-pool layer uses it to resynchronize the A/B switch environment
-    (see :func:`_pool_initializer`).
     """
     try:
         import multiprocessing
 
-        return multiprocessing.get_context().Pool(jobs,
-                                                  initializer=initializer,
-                                                  initargs=initargs)
+        return multiprocessing.get_context().Pool(jobs)
     except (ImportError, OSError, ValueError):
         return None
-
 
 
 # ----------------------------------------------------------------------
 # Warm pools: reuse workers across run_sweep calls
 # ----------------------------------------------------------------------
 
-#: Live pools keyed by (worker count, A/B switch-env signature).  A
+#: Live pools keyed by (worker count, value of the fast-path switch).  A
 #: benchmark session runs many sweeps back to back; keeping the workers
 #: alive amortizes process start-up and module import.  Workers
 #: re-derive every result from the pickled :class:`SweepPoint` alone, so
 #: a warm worker returns byte-identical payloads to a cold one — the
-#: jobs-parity tests pin this.  The signature half of the key is the
-#: A/B-toggle guard: a worker forked under ``REPRO_DISABLE_FASTPATH`` (or
-#: ``REPRO_REFERENCE_CORE``) would silently keep running that core after
-#: the parent toggled the variable, so a toggle must retire the pool
-#: rather than reuse it (``tests/test_parallel_sweep.py`` pins the
-#: differential).
-_WARM_POOLS: Dict[Tuple[int, Tuple[str, ...]], object] = {}
+#: jobs-parity tests pin this.  The switch half of the key is the
+#: A/B-toggle guard: workers copy the environment when the pool is
+#: created (fork and spawn alike), so a worker started before
+#: ``REPRO_DISABLE_FASTPATH`` was toggled would keep running the old
+#: core.  A toggle therefore retires the pool rather than reuse it
+#: (``tests/test_parallel_sweep.py`` pins the differential).
+_WARM_POOLS: Dict[Tuple[int, str], object] = {}
 _ATEXIT_REGISTERED = False
-
-
-def _pool_initializer(signature: Tuple[str, ...]) -> None:
-    """Runs once in every pool worker: re-apply the A/B switch env.
-
-    Fork inherits the parent's *imported module state*, and the switch
-    flags are read once at import and copied by value into consumer
-    modules — so even a freshly created pool can carry settings computed
-    under an environment that no longer holds.  Re-applying the snapshot
-    and refreshing the switches makes the worker run exactly the cores
-    the signature promises, on every start method.
-    """
-    import os
-
-    from repro.utils import memo
-
-    for name, value in zip(memo.SWITCH_ENVS, signature):
-        if value == "":
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-    memo.refresh_switches()
 
 
 def warm_pool(jobs: int):
     """The persistent pool for ``jobs`` workers (``None`` if unavailable).
 
     Pools are created on first use and reused on every later call with
-    the same ``jobs`` *and* the same A/B switch-env signature
-    (:func:`repro.utils.memo.switch_env_signature`); toggling a switch
-    retires the old pool and starts fresh workers under the new setting.
+    the same ``jobs`` *and* the same value of the fast-path switch
+    (:func:`repro.utils.memo.fastpath_switch`); toggling it retires the
+    old pool and starts fresh workers under the new setting.
     Pools are torn down at interpreter exit (or explicitly via
     :func:`shutdown_pools`).  Callers must not ``close()`` the returned
     pool; on a worker exception they should hand it to
     :func:`discard_pool` so the next sweep starts from a fresh pool.
     """
     global _ATEXIT_REGISTERED
-    from repro.utils.memo import switch_env_signature
+    from repro.utils.memo import fastpath_switch
 
-    signature = switch_env_signature()
-    key = (jobs, signature)
+    key = (jobs, fastpath_switch())
     pool = _WARM_POOLS.get(key)
     if pool is not None:
         return pool
-    # a pool for the same jobs under a previous signature is stale by
+    # a pool for the same jobs under a previous switch value is stale by
     # construction — terminate it rather than let it linger
     for stale in [entry for entry in _WARM_POOLS if entry[0] == jobs]:
         _discard_entry(stale)
-    pool = make_pool(jobs, initializer=_pool_initializer,
-                     initargs=(signature,))
+    pool = make_pool(jobs)
     if pool is not None:
         _WARM_POOLS[key] = pool
         if not _ATEXIT_REGISTERED:
@@ -280,7 +250,7 @@ def warm_pool(jobs: int):
     return pool
 
 
-def _discard_entry(key: Tuple[int, Tuple[str, ...]]) -> None:
+def _discard_entry(key: Tuple[int, str]) -> None:
     pool = _WARM_POOLS.pop(key, None)
     if pool is not None:
         pool.terminate()

@@ -31,8 +31,8 @@ from repro.core.lowpower import RankPowerManager
 from repro.dram.address import AddressMapper
 from repro.dram.channel import Channel, MemoryRequest
 from repro.dram.scheduler import FrFcfsScheduler
-from repro.fastpath import (AccessFastPath, FASTPATH_ENABLED,
-                            FastLowPowerRuns, FastTreeRuns, emit_batch,
+from repro.fastpath import (AccessFastPath, FastLowPowerRuns,
+                            FastTreeRuns, emit_batch, fastpath_enabled,
                             pass_eligible, stamp_pass)
 from repro.obs.tracer import (CATEGORY_PROTOCOL, NULL_TRACER, Tracer)
 from repro.oram.layout import LowPowerLayout, TreeLayout
@@ -183,7 +183,7 @@ class FreecursiveBackend:
         self.buses: List[LinkBus] = []
         self.counters = BackendCounters()
         self.fastpath: Optional[AccessFastPath] = None
-        if FASTPATH_ENABLED:
+        if fastpath_enabled():
             self.fastpath = AccessFastPath(
                 self.channels, FastTreeRuns(self.layout), self.skip_levels,
                 self.crypto, "oram-backend", tracer)
@@ -278,7 +278,7 @@ class SdimmDevice:
         # morphed-mode mapper, built once so its decode memo survives
         self._plain_mapper = AddressMapper(self.channel.organization, 64)
         self.fastpath: Optional[AccessFastPath] = None
-        if FASTPATH_ENABLED:
+        if fastpath_enabled():
             producer = (FastLowPowerRuns(self.layout) if self.low_power
                         else FastTreeRuns(self.layout))
             self.fastpath = AccessFastPath([self.channel], producer,

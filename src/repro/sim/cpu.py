@@ -245,8 +245,7 @@ class SimulationDriver:
         macro-replay core stamped without falling back to the event core.
         Eligibility is a pure function of simulated state, so the rate is
         identical across hosts, job counts, and cache replays — only a
-        disabled fast path (reference core, ``REPRO_DISABLE_FASTPATH``)
-        reports 0.0.
+        disabled fast path (``REPRO_DISABLE_FASTPATH=1``) reports 0.0.
         """
         stats_fn = getattr(self.backend, "fastpath_stats", None)
         if stats_fn is None:

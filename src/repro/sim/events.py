@@ -12,8 +12,7 @@ Hot-path note: a benchmark run fires hundreds of thousands of events, so
 the scheduler stores ``(time, sequence, fn, args)`` tuples instead of
 closures — :meth:`EventQueue.call_at` passes arguments positionally and
 :class:`WorkQueue` completion avoids allocating one lambda per job.  Both
-classes are slotted; event ordering (time, then insertion order) is
-unchanged, so simulations are cycle-identical to the closure-based core.
+classes are slotted; events fire in time order, then insertion order.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
-
-from repro.utils.memo import REFERENCE_CORE
 
 _NO_ARGS: Tuple = ()
 
@@ -50,11 +47,6 @@ class EventQueue:
         Storing the arguments in the heap entry instead of a closure keeps
         the per-event allocation down to one tuple.
         """
-        if REFERENCE_CORE:
-            # closure-based reference scheduler: identical ordering (one
-            # sequence number per event), one extra allocation per event
-            self.at(time, lambda: fn(*args))
-            return
         if time < self.now:
             time = self.now
         self._sequence += 1

@@ -12,7 +12,6 @@ from repro.crypto import (
     Prf,
     establish_session,
 )
-from repro.crypto import ctr
 from repro.crypto.mac import MacError
 from repro.crypto.session import AuthenticationError, BufferIdentity
 
@@ -112,8 +111,7 @@ class TestCounterMode:
             cipher.pad(9, counter, 64)
         cipher.pad(9, 2, 64)  # a stale read does not evict the live pad
         live = {9: (5, CounterModeCipher(KEY_A).pad(9, 5, 64))}
-        # the reference core runs unmemoized
-        assert cipher._pad_cache == (live if ctr.MEMO_ENABLED else {})
+        assert cipher._pad_cache == live
 
     def test_pad_precomputable(self):
         cipher = CounterModeCipher(KEY_A)

@@ -278,6 +278,22 @@ class TestLint001:
         target.write_text("x = 1  # reprolint: disable=DET001 -- stale\n")
         assert lint_paths([str(target)]).findings == []
 
+    def test_misspelled_rule_id_reported(self, tmp_path):
+        # a token naming no registered rule can never suppress anything
+        target = tmp_path / "typo.py"
+        target.write_text("x = 1  # reprolint: disable=SEC03 -- typo\n")
+        result = lint_paths([str(target)],
+                            warn_unused_suppressions=True)
+        assert rules_hit(result) == ["LINT001"]
+        assert "SEC03" in result.findings[0].message
+
+    def test_unselected_registered_rule_not_judged(self, tmp_path):
+        target = tmp_path / "narrow.py"
+        target.write_text("x = 1  # reprolint: disable=DET001 -- stale\n")
+        result = lint_paths([str(target)], selected_rules=["DET002"],
+                            warn_unused_suppressions=True)
+        assert result.findings == []
+
     def test_legacy_sec002_token_judged_through_supersession(self, tmp_path):
         # A SEC002 directive that silences nothing is reported even
         # though SEC002 itself is skipped on default runs.

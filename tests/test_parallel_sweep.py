@@ -107,14 +107,13 @@ class TestWarmPools:
         sweep_module.shutdown_pools()
 
     def test_env_switch_toggle_reaches_warm_pool_workers(self, monkeypatch):
-        """A/B switches must not go stale inside a reused warm pool.
+        """The A/B switch must not go stale inside a reused warm pool.
 
-        The switches (``REPRO_DISABLE_FASTPATH`` & co) are read once at
-        import, so a forked worker inherits whatever they were when the
-        pool was built.  Pools are therefore keyed on the env snapshot
-        and re-initialized per signature — two sweeps with the switch
-        toggled in between must see different fastpath behaviour even
-        though both ran at the same ``jobs`` on warm pools.
+        Workers copy the environment when the pool is built, so a worker
+        keeps whatever ``REPRO_DISABLE_FASTPATH`` was then.  Pools are
+        therefore keyed on the switch's value — two sweeps with the
+        switch toggled in between must see different fastpath behaviour
+        even though both ran at the same ``jobs`` on warm pools.
         """
         sweep_module.shutdown_pools()
         monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
@@ -132,6 +131,22 @@ class TestWarmPools:
                  for entry in enabled.results] ==
                 [entry.result.execution_cycles
                  for entry in disabled.results])
+
+    def test_switch_set_after_import_gives_jobs_parity(self, monkeypatch):
+        """Setting the switch after import reaches jobs=1 and jobs=2 alike.
+
+        The switch is read when a backend is built, so the in-process
+        serial path and fresh pool workers both run the event core.
+        """
+        sweep_module.shutdown_pools()
+        monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+        points = list(POINTS[:2])
+        serial = run_sweep(points, jobs=1)
+        parallel = run_sweep(points, jobs=2)
+        sweep_module.shutdown_pools()
+        assert result_bytes(serial) == result_bytes(parallel)
+        for entry in serial.results + parallel.results:
+            assert entry.result.extras["fastpath_hit_rate"] == 0.0
 
     def test_warm_pools_are_keyed_on_env_signature(self, monkeypatch):
         sweep_module.shutdown_pools()

@@ -1,34 +1,37 @@
-"""Differential tests: optimized hot-path cores vs their references.
+"""Differential tests: optimized hot paths vs their plain twins.
 
-The optimized ``Channel.schedule_run``, ``Rank.note_active`` and the
-tuple-based event scheduler must be *bit-identical* in behaviour to the
-straightforward reference implementations they replaced
-(``REPRO_REFERENCE_CORE=1`` selects the references at import time; see
-``repro.utils.memo``).  These tests drive both sides with the same
-randomized command streams and compare every observable — returned
-timings, counters, bus state, power-state residency — which is a much
-tighter net than the end-to-end golden masters alone.
+The optimized ``Channel.schedule_run`` must match ``count`` calls of
+``Channel.schedule_access``, the per-line scheduler the DDR constraint
+chain is written out in; ``Rank.note_active`` must match the
+bank-scanning ``Rank.note_activity``; and every bounded memo must answer
+exactly as a fresh, empty instance would, including after it clears.
+These tests drive both sides with the same randomized inputs and compare
+every observable — returned timings, counters, bus state, power-state
+residency, memoized results — which is a much tighter net than the
+end-to-end golden masters alone.
 """
 
-import os
-import subprocess
-import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.config import DramOrganization, DramTiming
-from repro.dram.address import DecodedAddress
+import repro.dram.address as address_module
+import repro.fastpath.runs as runs_module
+import repro.oram.layout as layout_module
+from repro.config import (DesignPoint, DramOrganization, DramTiming,
+                          small_config, table2_config)
+from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.bank import ScaledTiming
-from repro.dram.channel import Channel
+from repro.dram.channel import AccessTiming, Channel
 from repro.dram.commands import PowerState
 from repro.dram.rank import Rank
+from repro.fastpath.runs import FastLowPowerRuns, FastTreeRuns, PathPattern
+from repro.oram.layout import LowPowerLayout, TreeLayout
+from repro.oram.tree import TreeGeometry
 from repro.utils.rng import DeterministicRng
 
 TIMING = DramTiming()
 ORGANIZATION = DramOrganization()
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
 
 
 def random_runs(seed: int, count: int):
@@ -48,50 +51,50 @@ def random_runs(seed: int, count: int):
         yield address, run_len, rng.random() < 0.5, now
 
 
+def access_loop(channel: Channel, address: DecodedAddress, count: int,
+                is_write: bool, earliest: int) -> AccessTiming:
+    """``schedule_run`` spelled as ``count`` per-line accesses."""
+    timings = [channel.schedule_access(replace(address,
+                                               column=address.column + i),
+                                       is_write, earliest)
+               for i in range(count)]
+    first, last = timings[0], timings[-1]
+    return AccessTiming(first.cas_issue, first.data_start, last.data_end,
+                        first.outcome)
+
+
+def assert_run_matches_access_loop(runs, refresh=False, parked=False):
+    fast = Channel(TIMING, ORGANIZATION, scale=2, refresh_enabled=refresh)
+    loop = Channel(TIMING, ORGANIZATION, scale=2, refresh_enabled=refresh)
+    if parked:
+        for channel in (fast, loop):
+            for rank in channel.ranks:
+                rank.enter_power_down(0)
+    for address, count, is_write, earliest in runs:
+        assert fast.schedule_run(address, count, is_write, earliest) == \
+            access_loop(loop, address, count, is_write, earliest)
+    assert fast.counters.as_dict() == loop.counters.as_dict()
+    assert fast.bus_free_at == loop.bus_free_at
+
+
 class TestScheduleRunDifferential:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("refresh", [False, True])
     def test_matches_reference_on_random_streams(self, seed, refresh):
-        optimized = Channel(TIMING, ORGANIZATION, scale=2,
-                            refresh_enabled=refresh)
-        reference = Channel(TIMING, ORGANIZATION, scale=2,
-                            refresh_enabled=refresh)
-        for address, count, is_write, earliest in random_runs(seed, 600):
-            fast = optimized.schedule_run(address, count, is_write, earliest)
-            slow = reference._schedule_run_reference(address, count,
-                                                     is_write, earliest)
-            assert fast == slow
-        assert optimized.counters.as_dict() == reference.counters.as_dict()
-        assert optimized.bus_free_at == reference.bus_free_at
+        assert_run_matches_access_loop(random_runs(seed, 600), refresh)
 
     def test_matches_reference_after_power_down(self):
-        optimized = Channel(TIMING, ORGANIZATION, scale=2)
-        reference = Channel(TIMING, ORGANIZATION, scale=2)
-        for channel in (optimized, reference):
-            for rank in channel.ranks:
-                rank.enter_power_down(0)
-        for address, count, is_write, earliest in random_runs(7, 200):
-            fast = optimized.schedule_run(address, count, is_write, earliest)
-            slow = reference._schedule_run_reference(address, count,
-                                                     is_write, earliest)
-            assert fast == slow
-        residency = [rank.state_residency for rank in optimized.ranks]
-        assert residency == [rank.state_residency
-                             for rank in reference.ranks]
+        assert_run_matches_access_loop(random_runs(7, 200), parked=True)
 
     def test_rejects_bad_runs_like_reference(self):
         channel = Channel(TIMING, ORGANIZATION, scale=2)
         address = DecodedAddress(rank=0, bank=0, row=0, column=0)
         with pytest.raises(ValueError):
             channel.schedule_run(address, 0, False, 0)
-        with pytest.raises(ValueError):
-            channel._schedule_run_reference(address, 0, False, 0)
         columns = ORGANIZATION.row_bytes // 64
         edge = DecodedAddress(rank=0, bank=0, row=0, column=columns - 1)
         with pytest.raises(ValueError):
             channel.schedule_run(edge, 2, False, 0)
-        with pytest.raises(ValueError):
-            channel._schedule_run_reference(edge, 2, False, 0)
 
 
 class TestNoteActiveDifferential:
@@ -128,24 +131,74 @@ class TestNoteActiveDifferential:
         assert fast.state_residency == slow.state_residency
 
 
-class TestReferenceCoreEndToEnd:
-    """REPRO_REFERENCE_CORE=1 (fresh interpreter) is cycle-identical."""
+# ----------------------------------------------------------------------
+# Bounded memos vs a fresh instance
+# ----------------------------------------------------------------------
 
-    def run_cycles(self, env_extra):
-        code = (
-            "from repro.config import small_config, DesignPoint\n"
-            "from repro.sim.system import run_simulation\n"
-            "r = run_simulation(small_config(DesignPoint.FREECURSIVE),\n"
-            "                   'mcf', trace_length=300)\n"
-            "print(r.execution_cycles)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env.update(env_extra)
-        output = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True, check=True)
-        return int(output.stdout)
+def _tree_layout():
+    config = small_config(DesignPoint.FREECURSIVE)
+    return TreeLayout(TreeGeometry(config.oram.levels), config.oram,
+                      config.organization, config.channels)
 
-    def test_reference_env_matches_optimized(self):
-        optimized = self.run_cycles({})
-        reference = self.run_cycles({"REPRO_REFERENCE_CORE": "1"})
-        assert optimized == reference
+
+def _lowpower_layout():
+    config = table2_config(DesignPoint.INDEP_2, channels=1)
+    levels = config.oram.levels - 3  # an SDIMM-local subtree
+    return LowPowerLayout(TreeGeometry(levels),
+                          replace(config.oram, levels=levels),
+                          replace(config.organization, dimms_per_channel=1))
+
+
+def _observable(answer):
+    """A memo answer in comparable form (PathPattern has no ``__eq__``)."""
+    if isinstance(answer, PathPattern):
+        return answer.runs, answer.per_channel, answer.touched_ranks
+    return answer
+
+
+#: name -> (module binding DEFAULT_MEMO_CAP, fresh instance, query,
+#: cache attribute, keys).  Every key list is longer than the patched cap
+#: and repeats a leaf at two skip levels.
+MEMOS = {
+    "AddressMapper.decode": (
+        address_module, lambda: AddressMapper(ORGANIZATION),
+        lambda memo, key: memo.decode(key), "_decode_cache",
+        [0, 1, 63, 64, 4096, 999_999, 12_345]),
+    "TreeLayout.path_runs": (
+        layout_module, _tree_layout,
+        lambda memo, key: memo.path_runs(*key), "_runs_cache",
+        [(0, 0), (1, 0), (5, 1), (5, 3), (17, 2), (30, 0), (31, 3)]),
+    "LowPowerLayout.path_runs": (
+        layout_module, _lowpower_layout,
+        lambda memo, key: memo.path_runs(*key), "_runs_cache",
+        [(0, 0), (1, 0), (1 << 10, 1), (1 << 10, 4), (12_345, 2),
+         (99_999, 0)]),
+    "FastTreeRuns": (
+        runs_module, lambda: FastTreeRuns(_tree_layout()),
+        lambda memo, key: memo.pattern(*key), "_cache",
+        [(0, 0), (1, 0), (5, 1), (5, 3), (17, 2), (30, 0), (31, 3)]),
+    "FastLowPowerRuns": (
+        runs_module, lambda: FastLowPowerRuns(_lowpower_layout()),
+        lambda memo, key: memo.pattern(*key), "_cache",
+        [(0, 0), (1, 0), (1 << 10, 1), (1 << 10, 4), (12_345, 2),
+         (99_999, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMOS))
+def test_memo_matches_a_fresh_instance(name, monkeypatch):
+    module, make, query, cache_attr, keys = MEMOS[name]
+    cap = 3
+    monkeypatch.setattr(module, "DEFAULT_MEMO_CAP", cap)
+    memo = make()
+    cache = getattr(memo, cache_attr)
+    sizes = []
+    for key in keys + keys:  # the second lap re-fills after a clear
+        expected = _observable(query(make(), key))
+        first = query(memo, key)
+        second = query(memo, key)
+        assert second is first  # served from the memo
+        assert _observable(second) == expected
+        sizes.append(len(cache))
+    assert max(sizes) == cap
+    assert min(sizes[cap:]) == 1  # the cap triggered at least one clear
