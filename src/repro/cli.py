@@ -184,13 +184,15 @@ def cmd_audit_trace(args) -> int:
     """Handle ``repro audit-trace``; exit 0 only if the audit is sound.
 
     Sound means every secure design's adversary trace is indistinguishable
-    across address streams *and* the negative control (the non-secure
-    baseline, plus an injected-leak protocol run when ``--inject-leak``)
-    is correctly flagged as distinguishable — proving the comparison has
-    teeth rather than vacuously passing.
+    across address streams *and* the negative controls (the non-secure
+    baseline, plus an injected-leak run of every functional protocol when
+    ``--inject-leak``) are correctly flagged as distinguishable — proving
+    the comparison has teeth rather than vacuously passing.
     """
     from repro.obs.audit import (audit_address_streams,
-                                 audit_independent_protocol, run_full_audit)
+                                 audit_indep_split_protocol,
+                                 audit_independent_protocol,
+                                 audit_split_protocol, run_full_audit)
 
     results = run_full_audit(misses=args.misses, accesses=args.accesses,
                              seed=args.seed, with_faults=args.with_faults)
@@ -198,10 +200,11 @@ def cmd_audit_trace(args) -> int:
         stream_a, stream_b = audit_address_streams(args.accesses,
                                                    seed=args.seed,
                                                    span=1 << 10)
-        leak = audit_independent_protocol(stream_a, stream_b,
-                                          inject_leak=True)
-        leak.name = "negative-control:" + leak.name
-        results.append(leak)
+        for audit in (audit_independent_protocol, audit_split_protocol,
+                      audit_indep_split_protocol):
+            leak = audit(stream_a, stream_b, inject_leak=True)
+            leak.name = "negative-control:" + leak.name
+            results.append(leak)
     sound = True
     for result in results:
         expected_fail = result.name.startswith("negative-control:")

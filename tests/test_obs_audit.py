@@ -79,6 +79,16 @@ class TestProtocolTierAudit:
         index, seen_a, seen_b = result.first_divergence
         assert seen_a != seen_b
 
+    @pytest.mark.parametrize("audit", [audit_split_protocol,
+                                       audit_indep_split_protocol])
+    def test_injected_leak_is_detected_in_every_design(self, streams,
+                                                       audit):
+        # Split returns the block with FETCH_STASH rather than
+        # FETCH_RESULT; the leak must show there too.
+        result = audit(*streams, inject_leak=True)
+        assert result.name.endswith("+leak")
+        assert not result.passed
+
 
 class TestShardedRoutingAudit:
     @pytest.fixture(scope="class")
@@ -172,3 +182,13 @@ class TestCliVerb:
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "negative-control" in out
+
+    def test_inject_leak_covers_every_functional_design(self, capsys):
+        from repro.cli import main
+
+        code = main(["audit-trace", "--misses", "5", "--accesses", "16",
+                     "--inject-leak"])
+        assert code == 0
+        out = capsys.readouterr().out
+        for design in ("independent", "split", "indep-split"):
+            assert f"ok   negative-control:protocol:{design}+leak" in out
