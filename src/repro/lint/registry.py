@@ -36,7 +36,7 @@ class Rule:
     yielding :class:`Finding` objects.  ``rule_id`` doubles as the
     suppression token (``# reprolint: disable=SEC001``).
 
-    Three optional attributes shape how the runner drives a rule:
+    Two optional attributes shape how the runner drives a rule:
 
     * ``project`` — the rule needs the whole program at once; the
       runner calls :meth:`ProjectRule.check_project` with a project
@@ -45,10 +45,6 @@ class Rule:
       (LINT000 parse failures, LINT001 stale suppressions); the rule
       class exists so the id is registered, documented and selectable,
       but :meth:`check` yields nothing.
-    * ``superseded_by`` — a newer rule subsumes this one.  On project
-      runs where the successor is active, the runner skips the old
-      rule so the same defect is not reported twice; single-file runs
-      (``lint_source``) and explicit ``--select`` still honor it.
     """
 
     rule_id: str = ""
@@ -59,7 +55,6 @@ class Rule:
     exempt_markers: Sequence[str] = ()
     project: bool = False
     synthetic: bool = False
-    superseded_by: Optional[str] = None
 
     def applies_to(self, path: str) -> bool:
         if any(marker in path for marker in self.exempt_markers):

@@ -1,10 +1,10 @@
 """SEC003 — interprocedural secret flow into branches and loop bounds.
 
-The whole-program successor to SEC002: the same invariant (protocol
-control flow must not be a function of secret state, docs/threat_model.md
-§3), enforced across function and module boundaries by the taint engine
-in :mod:`repro.lint.dataflow`.  Where SEC002 sees one function at a
-time, SEC003 sees two things SEC002 cannot:
+Protocol control flow must not be a function of secret state
+(docs/threat_model.md §3).  The taint engine in
+:mod:`repro.lint.dataflow` enforces that across function and module
+boundaries, so beyond a local branch on a secret it sees two things a
+per-function check cannot:
 
 * a call site whose *argument* is secret flowing into a callee that
   branches on the corresponding parameter — reported at the call site,
@@ -16,8 +16,8 @@ time, SEC003 sees two things SEC002 cannot:
 Taint sources: the secret vocabulary (``leaf``, ``plaintext``,
 ``secret``), ``# reprolint: secret`` annotations, and ``decrypt*``
 return values (the ``crypto/`` session API).  Declassifiers: fresh RNG
-draws, ``encrypt*`` results, ``len()``.  Scope matches SEC002 —
-protocol layers plus the observability exporters; ``crypto/`` and the
+draws, ``encrypt*`` results, ``len()``.  Scope: the protocol layers
+plus the observability exporters; ``crypto/`` and the
 RNG are exempt as *origins* (a sink inside them is constant-time by
 their own discipline and separately screened).
 """
@@ -36,8 +36,7 @@ class InterproceduralSecretFlow(ProjectRule):
     title = "interprocedural secret-dependent control flow"
     rationale = ("whole-program taint: secret values flowing through "
                  "calls, returns and attributes must not reach branch "
-                 "conditions or loop bounds; supersedes SEC002 on "
-                 "project-wide runs")
+                 "conditions or loop bounds")
     # ``crypto/`` and the RNG are constant-time by their own discipline
     # (and are the taint *sources*); ``faults/`` is the injection
     # harness — its site-selection branches steer test campaigns, not

@@ -253,26 +253,8 @@ def _load_project(files: Sequence[Path]
 # Unused-suppression audit (LINT001)
 # ----------------------------------------------------------------------
 
-def _supersession_aliases(all_rules_by_id: Dict[str, Rule],
-                          active_ids: Set[str]) -> Dict[str, Set[str]]:
-    """token -> the rule ids whose use also justifies that token.
-
-    A ``disable=SEC002`` directive is judged by SEC002 *or* its active
-    successor SEC003: the old token is still meaningful mid-migration,
-    and stale is stale under either analysis.
-    """
-    aliases: Dict[str, Set[str]] = {}
-    for rule_id, rule in all_rules_by_id.items():
-        successor = rule.superseded_by
-        if successor and successor in active_ids and \
-                rule_id not in active_ids:
-            aliases[rule_id] = {rule_id, successor}
-    return aliases
-
-
 def _unused_suppression_findings(
         path: str, index: SuppressionIndex, active_ids: Set[str],
-        aliases: Dict[str, Set[str]],
         registered_ids: Set[str]) -> Iterator[Finding]:
     for directive in index.directives:
         scope = directive.scope
@@ -282,13 +264,10 @@ def _unused_suppression_findings(
                     yield _lint001(path, directive.line, token,
                                    directive.file_level)
                 continue
-            judged = aliases.get(token, {token})
-            if token in registered_ids and token not in active_ids and \
-                    token not in aliases:
+            if token in registered_ids and token not in active_ids:
                 continue   # rule did not run; cannot judge the directive
             # a token naming no registered rule (a typo) suppresses nothing
-            if any((scope, candidate) in index.used
-                   for candidate in sorted(judged)):
+            if (scope, token) in index.used:
                 continue
             yield _lint001(path, directive.line, token,
                            directive.file_level)
@@ -308,15 +287,6 @@ def _lint001(path: str, line: int, token: str,
 # Entry points
 # ----------------------------------------------------------------------
 
-def _active_rules(rules: Sequence[Rule], explicit: bool) -> List[Rule]:
-    """Drop superseded rules on default project-wide runs."""
-    if explicit:
-        return list(rules)
-    ids = {rule.rule_id for rule in rules}
-    return [rule for rule in rules
-            if not (rule.superseded_by and rule.superseded_by in ids)]
-
-
 def lint_paths(paths: Iterable[str],
                selected_rules: Optional[Iterable[str]] = None,
                jobs: int = 1,
@@ -326,16 +296,13 @@ def lint_paths(paths: Iterable[str],
 
     ``jobs > 1`` fans the per-file phase over a process pool; output is
     byte-identical to serial.  ``cache_dir`` enables the per-file
-    result cache.  When ``selected_rules`` is None (a default run),
-    superseded rules (SEC002) are skipped in favor of their
-    whole-program successors.
+    result cache.  ``selected_rules`` of None runs every rule.
 
     Raises:
         FileNotFoundError: a requested path does not exist.
         KeyError: ``selected_rules`` names an unknown rule.
     """
-    requested = select_rules(selected_rules)
-    active = _active_rules(requested, explicit=selected_rules is not None)
+    active = select_rules(selected_rules)
     file_rules = [rule for rule in active
                   if not rule.project and not rule.synthetic]
     project_rules = [rule for rule in active if rule.project]
@@ -376,15 +343,12 @@ def lint_paths(paths: Iterable[str],
         if warn_unused_suppressions:
             from repro.lint.registry import all_rules
 
-            by_id = {rule.rule_id: rule for rule in all_rules()}
             active_ids = {rule.rule_id for rule in active
                           if not rule.synthetic}
-            aliases = _supersession_aliases(by_id, active_ids)
-            registered_ids = set(by_id)
+            registered_ids = {rule.rule_id for rule in all_rules()}
             for path in sorted(suppressions):
                 result.findings.extend(_unused_suppression_findings(
-                    path, suppressions[path], active_ids, aliases,
-                    registered_ids))
+                    path, suppressions[path], active_ids, registered_ids))
 
     result.findings.sort(key=_SORT_KEY)
     return result
@@ -397,7 +361,8 @@ def lint_source(source: str, path: str = "<memory>",
     The ``path`` is used for rule scoping exactly as an on-disk path
     would be, so callers can probe path-scoped rules by faking layouts.
     Single-source runs have no whole-program view: project rules are
-    skipped and SEC002 stays active as the local fallback.
+    skipped, so no secret-flow rule (SEC003, SEC004) runs here; use
+    :func:`lint_paths` for those.
     """
     rules = select_rules(selected_rules)
     outcome = FileOutcome(path=path)

@@ -30,7 +30,7 @@ class TestRegistry:
     def test_all_families_registered(self):
         assert all_rule_ids() == ["DET001", "DET002", "DET003",
                                   "LINT000", "LINT001",
-                                  "SEC001", "SEC002", "SEC003", "SEC004"]
+                                  "SEC001", "SEC003", "SEC004"]
 
     def test_unknown_rule_selection_raises(self):
         with pytest.raises(KeyError):
@@ -62,36 +62,34 @@ class TestSec001:
         assert lint_source(source).findings == []
 
 
-class TestSec002:
-    # SEC002 is superseded by SEC003 on default runs; the per-function
-    # rule still answers an explicit ``--select SEC002``.
-    def test_violations_detected(self):
-        result = lint_paths([fixture("core", "sec002_bad.py")],
-                            selected_rules=["SEC002"])
-        sec002 = [finding for finding in result.findings
-                  if finding.rule_id == "SEC002"]
-        assert len(sec002) == 6
+def write_tree(root, files):
+    """Write ``{relative path: source}`` under ``root``; returns root."""
+    for relative, source in files.items():
+        target = root / relative
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+    return str(root)
 
-    def test_superseded_on_default_runs(self):
-        result = lint_paths([fixture("core", "sec002_bad.py")])
-        assert "SEC002" not in rules_hit(result)
 
-    def test_clean_fixture(self):
-        result = lint_paths([fixture("core", "sec002_ok.py")])
-        assert result.findings == []
-
-    def test_path_scoping(self):
+class TestSec003:
+    # A whole-program rule: it runs on lint_paths, never on lint_source.
+    def test_path_scoping(self, tmp_path):
         source = "def f(leaf):\n    if leaf:\n        return 1\n"
-        assert lint_source(source, path="core/handler.py").findings
-        assert not lint_source(source, path="energy/model.py").findings
+        root = write_tree(tmp_path, {"core/handler.py": source,
+                                     "energy/model.py": source})
+        result = lint_paths([root])
+        assert rules_hit(result) == ["SEC003"]
+        assert {os.path.basename(finding.path)
+                for finding in result.findings} == {"handler.py"}
+        assert not lint_source(source, path="core/handler.py").findings
 
-    def test_annotation_taint(self):
+    def test_annotation_taint(self, tmp_path):
         source = ("def f(value):\n"
                   "    x = value  # reprolint: secret\n"
                   "    if x:\n"
                   "        return 1\n")
-        result = lint_source(source, path="core/handler.py")
-        assert rules_hit(result) == ["SEC002"]
+        root = write_tree(tmp_path, {"core/handler.py": source})
+        assert rules_hit(lint_paths([root])) == ["SEC003"]
 
 
 class TestDet001:
@@ -157,17 +155,20 @@ class TestDet002:
 
 class TestSuppressions:
     def test_per_line_directive(self):
-        result = lint_paths([fixture("core", "sec002_suppressed.py")],
-                            selected_rules=["SEC002"])
+        result = lint_paths([fixture("core", "sec003_suppressed.py")],
+                            selected_rules=["SEC003"])
         assert len(result.findings) == 1      # only the audible one
         assert result.findings[0].line == 11
         assert result.suppressed_count == 1
 
-    def test_sec002_token_does_not_silence_sec003(self):
-        # Retagging is deliberate: a legacy SEC002 directive does not
-        # carry over to the interprocedural finding on default runs.
-        result = lint_paths([fixture("core", "sec002_suppressed.py")])
-        assert "SEC003" in rules_hit(result)
+    def test_sec002_token_does_not_silence_sec003(self, tmp_path):
+        # SEC002 is retired: its token names no rule and silences nothing.
+        with open(fixture("core", "sec003_suppressed.py")) as handle:
+            source = handle.read().replace("SEC003", "SEC002")
+        root = write_tree(tmp_path, {"core/retired.py": source})
+        result = lint_paths([root])
+        assert rules_hit(result) == ["SEC003"]
+        assert len(result.findings) == 2
 
     def test_multi_rule_directive(self):
         source = ("import time\n"
@@ -237,12 +238,17 @@ class TestPathScoping:
         assert "crypto/" in InterproceduralSecretFlow.exempt_markers
         assert "core/" in InterproceduralSecretFlow.path_markers
 
-    def test_rule_families_scope_independently(self):
+    def test_rule_families_scope_independently(self, tmp_path):
         # The same file can be in one family's scope and out of
-        # another's: stash code is SEC004 territory, sim/ is not.
+        # another's: stash code is SEC004 territory, sim/ is not, and a
+        # secret-indexed lookup is an address sink, not a branch.
         source = "def f(table, leaf):\n    return table[leaf]\n"
-        assert lint_source(source, path="oram/stash.py",
-                           selected_rules=["SEC002"]).findings == []
+        root = write_tree(tmp_path, {"oram/stash.py": source,
+                                     "sim/model.py": source})
+        assert lint_paths([root], selected_rules=["SEC003"]).findings == []
+        result = lint_paths([root], selected_rules=["SEC004"])
+        assert {os.path.basename(finding.path)
+                for finding in result.findings} == {"stash.py"}
 
 
 class TestJsonOutput:
@@ -323,5 +329,5 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         output = capsys.readouterr().out
-        for rule_id in ("SEC001", "SEC002", "DET001", "DET002"):
+        for rule_id in ("SEC001", "SEC003", "DET001", "DET002"):
             assert rule_id in output

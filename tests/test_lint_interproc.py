@@ -2,7 +2,7 @@
 runner modes (SARIF, baseline, parallel jobs, result cache, LINT00x).
 
 The differential fixtures under ``tests/fixtures/lint/interproc/``
-each isolate one flow the per-function SEC002 rule cannot see; the
+each isolate one flow a per-function check cannot see; the
 clean fixtures prove the declassifiers hold the false-positive line.
 """
 
@@ -294,9 +294,9 @@ class TestLint001:
                             warn_unused_suppressions=True)
         assert result.findings == []
 
-    def test_legacy_sec002_token_judged_through_supersession(self, tmp_path):
-        # A SEC002 directive that silences nothing is reported even
-        # though SEC002 itself is skipped on default runs.
+    def test_retired_sec002_token_reported(self, tmp_path):
+        # SEC002 is retired: its token names no registered rule, so a
+        # directive carrying it is reported like any misspelling.
         target = tmp_path / "retired.py"
         target.write_text("x = 1  # reprolint: disable=SEC002 -- stale\n")
         result = lint_paths([str(target)],
