@@ -3,9 +3,11 @@
 
 Four steps, all through the ledger schema (:mod:`repro.obs.ledger`):
 
-1. **Migrate** the schema-1 ``BENCH_pr3.json`` record (kept untouched)
-   into ledger records, so the trajectory starts with history instead of
-   a single datapoint.
+1. **Read the PR3 history**: the two ledger records lifted from the
+   schema-1 ``BENCH_pr3.json`` (kept untouched), which head the committed
+   trajectory with ``host.migrated_from == "BENCH_pr3.json"``.  They are
+   read before any ``--trajectory`` rewrite, so those lines stay
+   byte-identical.
 2. **Measure the gate suite** fresh — the same fixed points
    ``perf-gate`` re-measures (:mod:`repro.obs.regress`) — and a
    serial-vs-parallel sweep-scaling record that carries ``cpu_count``
@@ -17,7 +19,7 @@ Four steps, all through the ledger schema (:mod:`repro.obs.ledger`):
    speedup is recorded per point).
 4. **Write** the fresh records to ``BENCH_pr8.json`` and (with
    ``--trajectory``) regenerate the committed trajectory file:
-   migrated history first, fresh gate + scaling records after, so the
+   PR3 history first, fresh gate + scaling records after, so the
    gate's latest-record-per-point rule baselines on today's code while
    the dashboard still shows the PR3 -> PR8 history.
    (``BENCH_pr7.json`` stays frozen as that PR's artifact.)
@@ -28,7 +30,7 @@ Run directly::
         --trajectory benchmarks/results/perf_trajectory.jsonl
 
 Under pytest (tier-2 benchmark suite) the module contributes one smoke
-test exercising migrate -> compare on a miniature trajectory.
+test exercising history -> compare on a miniature trajectory.
 """
 
 from __future__ import annotations
@@ -46,15 +48,14 @@ if SRC not in sys.path:
 
 from repro.config import DesignPoint  # noqa: E402
 from repro.obs.ledger import (Ledger, host_clock_s,  # noqa: E402
-                              make_record, migrate_bench_pr3,
-                              sweep_scaling_core)
+                              make_record, sweep_scaling_core)
 from repro.obs.regress import compare_records, gate_records  # noqa: E402
 from repro.parallel import (SweepPoint, code_fingerprint,  # noqa: E402
                             run_result_to_dict, run_sweep)
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "results")
-PR3_PATH = os.path.join(RESULTS_DIR, "BENCH_pr3.json")
+TRAJECTORY_PATH = os.path.join(RESULTS_DIR, "perf_trajectory.jsonl")
 DEFAULT_OUT = os.path.join(RESULTS_DIR, "BENCH_pr8.json")
 
 #: Scaling sweep: same shape as BENCH_pr3's (8 points) so the records
@@ -64,9 +65,10 @@ SCALING_WORKLOADS = ("mcf", "gromacs", "libquantum", "lbm")
 
 
 def migrated_records() -> List[Dict[str, object]]:
-    """BENCH_pr3.json lifted into ledger records (file left untouched)."""
-    with open(PR3_PATH, "r", encoding="utf-8") as handle:
-        return migrate_bench_pr3(json.load(handle))
+    """The BENCH_pr3.json measurements, as the committed trajectory
+    carries them (``host.migrated_from``)."""
+    return [record for record in Ledger(TRAJECTORY_PATH).read()
+            if record["host"].get("migrated_from") == "BENCH_pr3.json"]
 
 
 def measure_scaling(trace_length: int, jobs: int) -> Dict[str, object]:
@@ -195,7 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 # ----------------------------------------------------------------------
-# pytest smoke hook (tier-2): migrate -> compare on a tiny trajectory
+# pytest smoke hook (tier-2): history -> compare on a tiny trajectory
 # ----------------------------------------------------------------------
 
 def test_migrated_history_is_gate_comparable_smoke():

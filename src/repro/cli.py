@@ -202,7 +202,8 @@ def cmd_audit_trace(args) -> int:
                                                    span=1 << 10)
         for audit in (audit_independent_protocol, audit_split_protocol,
                       audit_indep_split_protocol):
-            leak = audit(stream_a, stream_b, inject_leak=True)
+            leak = audit(stream_a, stream_b, seed=args.seed,
+                         inject_leak=True)
             leak.name = "negative-control:" + leak.name
             results.append(leak)
     sound = True
@@ -452,33 +453,21 @@ def _sweep_cache(args):
     return RunCache(args.cache_dir or default_cache_dir())
 
 
-def _append_sweep_records(ledger, kind: str, outcome) -> None:
-    """One ledger record per executed sweep point (submission order)."""
-    if ledger is None:
-        return
-    from repro.obs.ledger import (config_digest_hex, make_record,
-                                  simulation_core)
-    from repro.parallel.fingerprint import code_fingerprint
+def _run_sweep(args, kind: str, points):
+    """Run a sweep/compare point set and append its ledger records."""
+    from repro.obs.ledger import sweep_records
+    from repro.parallel import run_sweep
 
-    fingerprint = code_fingerprint()
-    for entry in outcome.results:
-        point = entry.point
-        core = simulation_core(point.design.value, point.workload,
-                               entry.result,
-                               config_digest_hex(point.system_config()),
-                               channels=point.channels,
-                               trace_length=point.trace_length,
-                               seed=point.seed,
-                               window_policy=point.window_policy,
-                               fingerprint=fingerprint)
-        ledger.append(make_record(kind, core, wall_ms=entry.wall_ms,
-                                  jobs=outcome.jobs,
-                                  from_cache=entry.from_cache))
+    outcome = run_sweep(points, jobs=args.jobs, cache=_sweep_cache(args))
+    ledger = _ledger(args)
+    if ledger is not None:
+        ledger.append_all(sweep_records(kind, outcome))
+    return outcome
 
 
 def cmd_compare(args) -> int:
     """Handle ``repro compare``."""
-    from repro.parallel import SweepPoint, run_sweep
+    from repro.parallel import SweepPoint
 
     designs: List[DesignPoint] = [DesignPoint.NONSECURE,
                                   DesignPoint.FREECURSIVE]
@@ -490,8 +479,7 @@ def cmd_compare(args) -> int:
     points = [SweepPoint(design, args.workload, channels=args.channels,
                          trace_length=args.trace_length, seed=args.seed)
               for design in designs]
-    outcome = run_sweep(points, jobs=args.jobs, cache=_sweep_cache(args))
-    _append_sweep_records(_ledger(args), "compare", outcome)
+    outcome = _run_sweep(args, "compare", points)
     print(f"{'design':12s} {'cycles':>12s} {'vs freec':>9s} "
           f"{'latency':>9s} {'energy uJ':>10s} {'wall ms':>8s}")
     baseline = None
@@ -521,13 +509,12 @@ def cmd_sweep(args) -> int:
     byte-identical for any ``--jobs`` value (the determinism contract
     ``tests/test_parallel_sweep.py`` pins).
     """
-    from repro.parallel import SweepPoint, run_sweep
+    from repro.parallel import SweepPoint
 
     points = [SweepPoint(args.design, workload, channels=args.channels,
                          trace_length=args.trace_length, seed=args.seed)
               for workload in profile_names()]
-    outcome = run_sweep(points, jobs=args.jobs, cache=_sweep_cache(args))
-    _append_sweep_records(_ledger(args), "sweep", outcome)
+    outcome = _run_sweep(args, "sweep", points)
     print(f"{'workload':12s} {'cycles':>12s} {'hit':>5s} {'ap/ms':>6s} "
           f"{'latency':>9s}")
     for entry in outcome.results:

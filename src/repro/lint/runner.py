@@ -5,9 +5,9 @@ A lint run has two phases:
 * **per-file** — parse each file once and run every file-scoped rule on
   it.  This phase is embarrassingly parallel (``jobs > 1`` fans it over
   the same process pool the sweep engine uses, merged by submission
-  index so output is byte-identical to serial) and cacheable (content
-  hash + rule set + lint-code fingerprint, see
-  :mod:`repro.lint.cache`);
+  index so output is byte-identical to serial) and cacheable through
+  the tree's one run cache (key: path + content hash + rule set, under
+  a fingerprint of the ``repro.lint`` sources only);
 * **project** — build the whole-program view (:mod:`repro.lint
   .callgraph`), run the taint engine (:mod:`repro.lint.dataflow`) and
   every :class:`~repro.lint.registry.ProjectRule` over it.  Inherently
@@ -23,22 +23,29 @@ silenced nothing across both phases.
 from __future__ import annotations
 
 import ast
+import hashlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
-from repro.lint.cache import LintCache, entry_key
 from repro.lint.callgraph import Project, build_project
 from repro.lint.dataflow import ProgramTaint, analyze
 from repro.lint.findings import Finding, LintError, LintResult, Severity
 from repro.lint.registry import FileContext, Rule, select_rules
 from repro.lint.suppressions import (SuppressionIndex, Scope,
                                      parse_suppressions)
+from repro.parallel.cache import RunCache, content_key
+from repro.parallel.fingerprint import code_fingerprint
+from repro.parallel.sweep import cached_map
 
 _SKIP_DIRECTORIES = {"__pycache__", ".git", ".venv", "venv",
                      ".mypy_cache", ".ruff_cache", ".pytest_cache",
                      "build", "dist"}
+
+#: Layout version of a cached per-file outcome (part of its cache key).
+_OUTCOME_SCHEMA = 1
 
 _SORT_KEY = (lambda finding: (finding.path, finding.line, finding.column,
                               finding.rule_id, finding.message))
@@ -175,38 +182,50 @@ def _outcome_from_dict(payload: Dict[str, object]) -> FileOutcome:
     )
 
 
-def _file_worker(task: Tuple[str, Tuple[str, ...], Optional[str]]
-                 ) -> Dict[str, object]:
-    """Pool worker: one file, cache-first, picklable in and out."""
-    raw_path, rule_ids, cache_dir = task
-    path = Path(raw_path)
-    cache: Optional[LintCache] = None
-    key: Optional[str] = None
-    if cache_dir is not None:
-        cache = LintCache(cache_dir)
-        try:
-            key = entry_key(path.read_bytes(), rule_ids)
-        except OSError:
-            key = None
-        if key is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-    rules = select_rules(rule_ids)
-    payload = _outcome_to_dict(check_one_file(path, rules))
-    if cache is not None and key is not None:
-        cache.put(key, payload)
-    return payload
+def _file_worker(task: Tuple[str, Tuple[str, ...]]) -> Dict[str, object]:
+    """Pool worker: one file, picklable in and out."""
+    raw_path, rule_ids = task
+    return _outcome_to_dict(check_one_file(Path(raw_path),
+                                           select_rules(rule_ids)))
+
+
+def _file_key(task: Tuple[str, Tuple[str, ...]],
+              fingerprint: Optional[str]) -> str:
+    """Cache key of one file's outcome: path, content hash, rule set.
+
+    An unreadable file keys on its error, the only input its LINT000
+    outcome depends on.
+    """
+    raw_path, rule_ids = task
+    try:
+        content = hashlib.sha256(Path(raw_path).read_bytes()).hexdigest()
+    except OSError as error:
+        content = f"unreadable: {error}"
+    return content_key("lint-file", _OUTCOME_SCHEMA,
+                       {"path": Path(raw_path).as_posix(), "sha256": content,
+                        "rules": sorted(rule_ids)}, fingerprint)
 
 
 def _run_file_phase(files: Sequence[Path], rule_ids: Sequence[str],
                     jobs: int,
                     cache_dir: Optional[str]) -> List[FileOutcome]:
-    from repro.parallel.sweep import ordered_map
+    """The per-file phase, cache-first when ``cache_dir`` is given.
 
-    tasks = [(str(path), tuple(rule_ids), cache_dir) for path in files]
+    Entries are keyed under a fingerprint of the ``repro.lint`` sources
+    alone: editing a rule cold-starts the cache, editing the simulator
+    does not.
+    """
+    cache: Optional[RunCache] = None
+    fingerprint: Optional[str] = None
+    if cache_dir is not None:
+        cache = RunCache(cache_dir)
+        fingerprint = code_fingerprint(
+            root=os.path.dirname(os.path.abspath(__file__)))
+    tasks = [(str(path), tuple(rule_ids)) for path in files]
     return [_outcome_from_dict(payload)
-            for payload in ordered_map(_file_worker, tasks, jobs=jobs)]
+            for payload, _ in cached_map(_file_worker, tasks, _file_key,
+                                         jobs=jobs, cache=cache,
+                                         fingerprint=fingerprint)]
 
 
 # ----------------------------------------------------------------------

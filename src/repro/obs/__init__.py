@@ -24,8 +24,8 @@ from repro.obs.chrome import (chrome_trace_events, render_chrome_trace,
                               write_chrome_trace)
 from repro.obs.ledger import (LEDGER_SCHEMA, Ledger, canonical_core_line,
                               host_clock_s, host_provenance, make_record,
-                              migrate_bench_pr3, point_key, resolve_ledger,
-                              simulation_core, verify_record)
+                              point_key, resolve_ledger, simulation_core,
+                              sweep_records, verify_record)
 from repro.obs.metrics import (IDLE_PHASE, PHASE_PRIORITY, Counter, Gauge,
                                Histogram, MetricsRegistry, fold_metrics_dict,
                                phase_breakdown, summarize_phase_breakdown)
@@ -53,8 +53,8 @@ __all__ = [
     "run_full_audit", "scan_secret_args",
     "chrome_trace_events", "render_chrome_trace", "write_chrome_trace",
     "LEDGER_SCHEMA", "Ledger", "canonical_core_line", "host_clock_s",
-    "host_provenance", "make_record", "migrate_bench_pr3", "point_key",
-    "resolve_ledger", "simulation_core", "verify_record",
+    "host_provenance", "make_record", "point_key", "resolve_ledger",
+    "simulation_core", "sweep_records", "verify_record",
     "IDLE_PHASE", "PHASE_PRIORITY", "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "fold_metrics_dict", "phase_breakdown",
     "summarize_phase_breakdown",

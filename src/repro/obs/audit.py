@@ -708,9 +708,10 @@ def run_full_audit(misses: int = 12, accesses: int = 48,
                    with_faults: bool = False) -> List[AuditResult]:
     """Audit every Figure-8 design at both tiers.
 
-    Timing tier: freecursive / indep-2 / split-2 must show byte-identical
-    adversary traces.  Functional tier: the canonicalized protocol
-    observables must match, and the sharded serving tier's routing
+    Timing tier: freecursive / indep-2 / split-2, and indep-split at two
+    channels, must show byte-identical adversary traces.  Functional
+    tier: the canonicalized protocol observables must match, and the
+    sharded serving tier's routing
     (:func:`audit_sharded_routing`) must not be visible on the link.
     The adaptive control plane is audited too
     (:func:`audit_adaptive_control`): closing the loop must not make the
@@ -734,6 +735,8 @@ def run_full_audit(misses: int = 12, accesses: int = 48,
                             seed=seed),
         audit_timing_design(DesignPoint.INDEP_2, misses=misses, seed=seed),
         audit_timing_design(DesignPoint.SPLIT_2, misses=misses, seed=seed),
+        audit_timing_design(DesignPoint.INDEP_SPLIT, misses=misses,
+                            channels=2, seed=seed),
         audit_freecursive_protocol(stream_a, stream_b, seed=seed),
         audit_independent_protocol(stream_a, stream_b, seed=seed),
         audit_split_protocol(stream_a, stream_b, seed=seed),
@@ -752,6 +755,9 @@ def run_full_audit(misses: int = 12, accesses: int = 48,
                                             misses=misses, seed=seed),
             audit_timing_design_with_stalls(DesignPoint.SPLIT_2,
                                             misses=misses, seed=seed),
+            audit_timing_design_with_stalls(DesignPoint.INDEP_SPLIT,
+                                            misses=misses, channels=2,
+                                            seed=seed),
         ])
     if include_negative_control:
         control = audit_timing_design(DesignPoint.NONSECURE, misses=misses,

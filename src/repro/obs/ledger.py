@@ -29,6 +29,7 @@ replays, and the input the regression gate and dashboard consume.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import hmac
 import json
@@ -49,8 +50,9 @@ def _fingerprint(explicit: Optional[str]) -> str:
 
     return code_fingerprint()
 
-#: Ledger record layout version.  Schema 1 is the ad-hoc BENCH_pr3.json
-#: shape; :func:`migrate_bench_pr3` lifts it into schema 2.
+#: Ledger record layout version.  Schema 1 was the ad-hoc BENCH_pr3.json
+#: shape; its two measurements live on as schema-2 records in the
+#: committed ``benchmarks/results/perf_trajectory.jsonl``.
 LEDGER_SCHEMA = 2
 
 #: Environment variable naming the default ledger file for CLI verbs.
@@ -267,15 +269,35 @@ def simulation_core(design: str, workload: str, result,
 
 
 def config_digest_hex(config) -> str:
-    """SHA-256 of the canonical configuration payload."""
-    from repro.parallel.cache import config_digest_payload
-
-    def encode(value: object) -> object:
-        return getattr(value, "value", str(value))
-
-    rendered = json.dumps(config_digest_payload(config), sort_keys=True,
-                          separators=(",", ":"), default=encode)
+    """SHA-256 of the full configuration (every dataclass field,
+    recursively, enums by value) — also the config part of a sweep
+    point's cache key."""
+    rendered = json.dumps(dataclasses.asdict(config), sort_keys=True,
+                          separators=(",", ":"),
+                          default=lambda value: getattr(value, "value",
+                                                        str(value)))
     return hashlib.sha256(rendered.encode()).hexdigest()
+
+
+def sweep_records(kind: str, outcome) -> List[Dict[str, object]]:
+    """One ledger record per point of a
+    :class:`~repro.parallel.sweep.SweepOutcome`, in submission order."""
+    fingerprint = _fingerprint(None)
+    records = []
+    for entry in outcome.results:
+        point = entry.point
+        core = simulation_core(point.design.value, point.workload,
+                               entry.result,
+                               config_digest_hex(point.system_config()),
+                               channels=point.channels,
+                               trace_length=point.trace_length,
+                               seed=point.seed,
+                               window_policy=point.window_policy,
+                               fingerprint=fingerprint)
+        records.append(make_record(kind, core, wall_ms=entry.wall_ms,
+                                   jobs=outcome.jobs,
+                                   from_cache=entry.from_cache))
+    return records
 
 
 def serve_core(report: Dict[str, object],
@@ -360,59 +382,3 @@ def sweep_scaling_core(points: int, serial_wall_s: float,
             "single_core_caveat": count <= 1,
         },
     }
-
-
-def migrate_bench_pr3(payload: Dict[str, object]) -> List[Dict[str, object]]:
-    """Lift a schema-1 ``BENCH_pr3.json`` record into ledger records.
-
-    The original file stays untouched; this converter exists so the
-    trajectory starts with two datapoints instead of one.  Produces one
-    gate-comparable point record (kind ``gate`` — the hot-path point is
-    a gate-suite point, so the trajectory shows its history) and one
-    sweep-scaling record, both stamped with the *original* fingerprint
-    and host facts.
-    """
-    if payload.get("schema") != 1:
-        raise ValueError(f"expected BENCH_pr3 schema 1, "
-                         f"got {payload.get('schema')!r}")
-    fingerprint = str(payload["code_fingerprint"])
-    host = {"cpu_count": int(payload.get("cpu_count", 1)),
-            "python": None, "platform": None,
-            "migrated_from": "BENCH_pr3.json"}
-    hotpath = payload["hotpath"]
-    sweep = payload["sweep"]
-    point_core = {
-        "point": {
-            "design": hotpath["design"],
-            "workload": hotpath["workload"],
-            "channels": 1,
-            "trace_length": int(payload["trace_length"]),
-            "seed": 2018,
-            "window_policy": "in-order",
-        },
-        "config_digest": None,   # schema 1 never recorded it
-        "fingerprint": fingerprint,
-        "measure": {
-            "execution_cycles": int(hotpath["cycles"]),
-            "reference_wall_s": hotpath["reference_wall_s"],
-            "optimized_wall_s": hotpath["optimized_wall_s"],
-            "speedup": hotpath["speedup"],
-            "cycles_identical": bool(hotpath["cycles_identical"]),
-        },
-    }
-    scaling_core = sweep_scaling_core(
-        points=int(sweep["points"]),
-        serial_wall_s=float(sweep["serial_wall_s"]),
-        parallel_wall_s=float(sweep["parallel_wall_s"]),
-        jobs=int(sweep["parallel_jobs"]),
-        results_identical=bool(sweep["results_identical"]),
-        cpu_count=int(payload.get("cpu_count", 1)),
-        fingerprint=fingerprint)
-    scaling_core["measure"]["designs"] = list(sweep["designs"])
-    scaling_core["measure"]["workloads"] = list(sweep["workloads"])
-    return [
-        make_record("gate", point_core,
-                    wall_ms=float(hotpath["optimized_wall_s"]) * 1000.0,
-                    host=host),
-        make_record("sweep-scaling", scaling_core, host=host),
-    ]

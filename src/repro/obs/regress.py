@@ -31,17 +31,13 @@ timestamps, no randomness — so the dashboard bytes are identical across
 from __future__ import annotations
 
 import html
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import DesignPoint, table2_config
-from repro.obs.ledger import (Ledger, canonical_json, config_digest_hex,
-                              host_clock_s, make_record, point_key,
-                              simulation_core)
+from repro.config import DesignPoint
+from repro.obs.ledger import Ledger, host_clock_s, point_key, sweep_records
 from repro.obs.metrics import PHASE_PRIORITY
 from repro.parallel.cache import RunCache
-from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.sweep import SweepPoint, run_sweep
 
 #: The gate suite: small enough to re-measure on every run, wide enough
@@ -84,23 +80,8 @@ def gate_records(jobs: int = 1,
                  cache: Optional[RunCache] = None
                  ) -> List[Dict[str, object]]:
     """Measure the gate suite and return one ledger record per point."""
-    fingerprint = code_fingerprint()
-    outcome = run_sweep(gate_points(), jobs=jobs, cache=cache)
-    records: List[Dict[str, object]] = []
-    for entry in outcome.results:
-        point = entry.point
-        core = simulation_core(point.design.value, point.workload,
-                               entry.result,
-                               config_digest_hex(point.system_config()),
-                               channels=point.channels,
-                               trace_length=point.trace_length,
-                               seed=point.seed,
-                               window_policy=point.window_policy,
-                               fingerprint=fingerprint)
-        records.append(make_record("gate", core, wall_ms=entry.wall_ms,
-                                   jobs=outcome.jobs,
-                                   from_cache=entry.from_cache))
-    return records
+    return sweep_records("gate", run_sweep(gate_points(), jobs=jobs,
+                                           cache=cache))
 
 
 # ----------------------------------------------------------------------

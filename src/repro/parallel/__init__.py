@@ -7,14 +7,15 @@ Public surface:
   points over a process pool with deterministic, order-independent
   merging (``docs/performance.md``);
 * :class:`~repro.parallel.cache.RunCache` — content-addressed on-disk
-  cache keyed on config + workload + seed + trace length + code
-  fingerprint;
+  cache of JSON payloads, keyed by
+  :func:`~repro.parallel.cache.content_key` (a sweep point's key is
+  :func:`~repro.parallel.sweep.point_key`: config digest + workload +
+  seed + trace length + window policy + code fingerprint);
 * :func:`~repro.parallel.fingerprint.code_fingerprint` — the source
   digest that invalidates the cache whenever the simulator changes.
 """
 
-from repro.parallel.cache import (CACHE_DIR_ENV, CachedRun, RunCache,
-                                  default_cache_dir)
+from repro.parallel.cache import CACHE_DIR_ENV, RunCache, default_cache_dir
 from repro.parallel.fingerprint import code_fingerprint
 from repro.parallel.serialize import (run_result_from_dict,
                                       run_result_to_dict)
@@ -23,7 +24,6 @@ from repro.parallel.sweep import (PointResult, SweepOutcome, SweepPoint,
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CachedRun",
     "PointResult",
     "RunCache",
     "SweepOutcome",

@@ -25,7 +25,8 @@ serial and parallel paths indistinguishable.
 
 The fan-out itself is :func:`ordered_map`, the one loop every fan-out of
 the tree shares; :func:`cached_map` puts a cache of JSON payloads in
-front of it for the serving and fault-campaign sweeps.
+front of it, and is the one cache-first loop: simulation sweeps
+(:func:`run_sweep`), serving, fault campaigns and lint all go through it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from repro.config import DesignPoint, SystemConfig, table2_config
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.cache import RunCache
+from repro.parallel.cache import RunCache, content_key
 from repro.parallel.fingerprint import code_fingerprint
-from repro.parallel.serialize import (run_result_from_dict,
+from repro.parallel.serialize import (SCHEMA_VERSION, run_result_from_dict,
                                       run_result_to_dict)
 from repro.sim.stats import RunResult
 
@@ -118,50 +119,52 @@ class SweepOutcome:
 # ----------------------------------------------------------------------
 
 def execute_point(point: SweepPoint) -> Dict[str, object]:
-    """Run one point; returns a picklable payload.
+    """Run one point; returns a picklable, JSON-friendly payload.
 
     Used verbatim by the serial path and by pool workers, which is the
     determinism argument in one line: both paths run *this* function.
+    Every field is replay-stable (host wall time rides next to the
+    payload in :func:`cached_map`, never inside it), so a cached payload
+    equals a fresh one.
     """
-    from repro.obs.ledger import host_clock_s
+    from repro.obs.tracer import NULL_TRACER, CollectingTracer
     from repro.sim.system import run_simulation
 
-    tracer = None
-    started = host_clock_s()
-    if point.collect_trace:
-        from repro.obs.tracer import CollectingTracer
-
-        tracer = CollectingTracer()
-    config = point.system_config()
-    if tracer is not None:
-        result = run_simulation(config, point.workload,
-                                trace_length=point.trace_length,
-                                trace_seed=point.seed,
-                                window_policy=point.window_policy,
-                                tracer=tracer,
-                                window_cycles=point.window_cycles)
-    else:
-        result = run_simulation(config, point.workload,
-                                trace_length=point.trace_length,
-                                trace_seed=point.seed,
-                                window_policy=point.window_policy,
-                                window_cycles=point.window_cycles)
-    wall_ms = (host_clock_s() - started) * 1000.0
+    tracer = CollectingTracer() if point.collect_trace else NULL_TRACER
+    result = run_simulation(point.system_config(), point.workload,
+                            trace_length=point.trace_length,
+                            trace_seed=point.seed,
+                            window_policy=point.window_policy,
+                            tracer=tracer,
+                            window_cycles=point.window_cycles)
     chrome_json = None
     worker_metrics = MetricsRegistry()
     worker_metrics.counter("sweep/executed").inc()
-    worker_metrics.histogram("sweep/wall_ms").record(int(wall_ms))
-    if tracer is not None:
+    if isinstance(tracer, CollectingTracer):
         from repro.obs.chrome import render_chrome_trace
 
         chrome_json = render_chrome_trace(tracer.events)
         worker_metrics.from_events(tracer.events)
     return {
         "result": run_result_to_dict(result),
-        "wall_ms": wall_ms,
         "chrome_json": chrome_json,
         "metrics": worker_metrics.as_dict(),
     }
+
+
+def point_key(point: SweepPoint, fingerprint: Optional[str]) -> str:
+    """The cache key of one sweep point (see :func:`content_key`)."""
+    from repro.obs.ledger import config_digest_hex
+
+    return content_key("sweep", SCHEMA_VERSION, {
+        "config": config_digest_hex(point.system_config()),
+        "workload": point.workload,
+        "trace_length": point.trace_length,
+        "seed": point.seed,
+        "window_policy": point.window_policy,
+        "collect_trace": point.collect_trace,
+        "window_cycles": point.window_cycles,
+    }, fingerprint)
 
 
 # ----------------------------------------------------------------------
@@ -318,20 +321,24 @@ def _timed_call(item: Tuple[Callable[[Any], Dict[str, object]], Any]
 
 def cached_map(worker: Callable[[T], Dict[str, object]], tasks: Sequence[T],
                key_of: Callable[[T, Optional[str]], str], jobs: int = 1,
-               cache: Optional[RunCache] = None
-               ) -> List[Tuple[Dict[str, object], Dict[str, object]]]:
+               cache: Optional[RunCache] = None,
+               fingerprint: Optional[str] = None
+               ) -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
     """:func:`ordered_map` behind a :class:`RunCache` of JSON payloads.
 
-    ``key_of(task, fingerprint)`` names each task's cache entry.  Hits
-    skip the pool, and every fresh payload is written back.  Returns one
-    ``(payload, {"wall_ms", "from_cache"})`` pair per task, in task
-    order: host time is measured inside the worker and rides next to the
-    payload, never inside it, so payload bytes stay identical across
-    ``jobs`` values and cached replays.
+    ``key_of(task, fingerprint)`` names each task's cache entry;
+    ``fingerprint`` (default: :func:`code_fingerprint`) is the source
+    digest the entries are keyed and stamped with.  Hits skip the pool,
+    and every fresh payload is written back.  Returns one ``(payload,
+    {"wall_ms", "from_cache"})`` pair per task, in task order: host time
+    is measured inside the worker and rides next to the payload, never
+    inside it, so payload bytes stay identical across ``jobs`` values
+    and cached replays.
     """
     tasks = list(tasks)
-    fingerprint = code_fingerprint() if cache is not None else None
-    results: Dict[int, Tuple[Dict[str, object], Dict[str, object]]] = {}
+    if cache is not None and fingerprint is None:
+        fingerprint = code_fingerprint()
+    results: Dict[int, Tuple[Dict[str, Any], Dict[str, Any]]] = {}
     keys: Dict[int, str] = {}
     pending: List[int] = []
     for index, task in enumerate(tasks):
@@ -359,54 +366,26 @@ def run_sweep(points: Sequence[SweepPoint], jobs: int = 1,
 
     ``jobs <= 1`` (or an unavailable pool) degrades to the in-process
     serial path — same worker function, same merge, same output.
+    Worker metrics and ``sweep/wall_ms`` cover the freshly executed
+    points only.
     """
     points = list(points)
     metrics = MetricsRegistry()
     metrics.gauge("sweep/jobs").set(max(1, jobs))
     metrics.counter("sweep/points").inc(len(points))
-    fingerprint = code_fingerprint() if cache is not None else None
-
-    slots: List[Optional[PointResult]] = [None] * len(points)
-    pending: List[Tuple[int, SweepPoint]] = []
-    keys: Dict[int, str] = {}
-
-    for index, point in enumerate(points):
-        if cache is None:
-            pending.append((index, point))
-            continue
-        key = cache.key_for(point.system_config(), point.workload,
-                            point.trace_length, trace_seed=point.seed,
-                            window_policy=point.window_policy,
-                            collect_trace=point.collect_trace,
-                            window_cycles=point.window_cycles,
-                            fingerprint=fingerprint)
-        keys[index] = key
-        cached = cache.get(key)
-        if cached is not None:
-            metrics.counter("sweep/cache_hits").inc()
-            slots[index] = PointResult(point=point, result=cached.result,
-                                       from_cache=True, wall_ms=0.0,
-                                       chrome_json=cached.chrome_json)
-        else:
-            metrics.counter("sweep/cache_misses").inc()
-            pending.append((index, point))
-
-    payloads = ordered_map(execute_point, [point for _, point in pending],
-                           jobs=jobs)
-    for (index, point), payload in zip(pending, payloads):
-        result = run_result_from_dict(payload["result"])
-        chrome_json = payload["chrome_json"]
-        slots[index] = PointResult(point=point, result=result,
-                                   from_cache=False,
-                                   wall_ms=float(payload["wall_ms"]),
-                                   chrome_json=chrome_json)
-        fold_metrics(metrics, payload["metrics"])
+    results: List[PointResult] = []
+    for point, (payload, meta) in zip(points, cached_map(
+            execute_point, points, point_key, jobs=jobs, cache=cache)):
         if cache is not None:
-            cache.put(keys[index], result, chrome_json=chrome_json,
-                      fingerprint=fingerprint)
-
-    results = [entry for entry in slots if entry is not None]
-    assert len(results) == len(points), "sweep lost a point"
+            metrics.counter("sweep/cache_hits" if meta["from_cache"]
+                            else "sweep/cache_misses").inc()
+        if not meta["from_cache"]:
+            fold_metrics(metrics, payload["metrics"])
+            metrics.histogram("sweep/wall_ms").record(int(meta["wall_ms"]))
+        results.append(PointResult(
+            point=point, result=run_result_from_dict(payload["result"]),
+            from_cache=meta["from_cache"], wall_ms=meta["wall_ms"],
+            chrome_json=payload["chrome_json"]))
     return SweepOutcome(results=results, metrics=metrics,
                         jobs=max(1, jobs),
                         cache_stats=cache.stats.as_dict() if cache else {})

@@ -421,3 +421,19 @@ class TestParallelRunner:
         assert [f.render() for f in second.findings] == \
             [f.render() for f in first.findings]
         assert second.suppressed_count == first.suppressed_count
+
+    def test_cache_keeps_identical_files_apart(self, tmp_path):
+        # two byte-identical files share content, not findings: each
+        # DET001 hit must name its own file, cold and warm
+        source = "import time\n\n\ndef now():\n    return time.time()\n"
+        paths = []
+        for name in ("a.py", "b.py"):
+            path = tmp_path / "sim" / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(source)
+            paths.append(path.as_posix())
+        cache_dir = str(tmp_path / "cache")
+        for _ in ("cold", "warm"):
+            result = lint_paths([str(tmp_path / "sim")], cache_dir=cache_dir)
+            assert sorted(f.path for f in result.findings
+                          if f.rule_id == "DET001") == paths

@@ -173,6 +173,16 @@ class TestFullAudit:
             else:
                 assert result.passed, result.describe()
 
+    def test_indep_split_is_audited_at_two_channels(self):
+        plain = run_full_audit(misses=6, accesses=24,
+                               include_negative_control=False)
+        faulted = run_full_audit(misses=6, accesses=24, with_faults=True,
+                                 include_negative_control=False)
+        by_name = {result.name: result for result in plain + faulted}
+        for name in ("timing:indep-split", "timing+stalls:indep-split"):
+            assert by_name[name].passed, by_name[name].describe()
+            assert by_name[name].length_a > 0
+
 
 class TestCliVerb:
     def test_audit_trace_exit_code(self, capsys):
@@ -192,3 +202,25 @@ class TestCliVerb:
         out = capsys.readouterr().out
         for design in ("independent", "split", "indep-split"):
             assert f"ok   negative-control:protocol:{design}+leak" in out
+
+    def test_inject_leak_controls_run_at_the_requested_seed(
+            self, capsys, monkeypatch):
+        import repro.obs.audit as audit_module
+        from repro.cli import main
+
+        leak_seeds = []
+        for name in ("audit_independent_protocol", "audit_split_protocol",
+                     "audit_indep_split_protocol"):
+            original = getattr(audit_module, name)
+
+            def spy(*args, _original=original, **kwargs):
+                if kwargs.get("inject_leak"):
+                    leak_seeds.append(kwargs.get("seed", 2018))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(audit_module, name, spy)
+        code = main(["audit-trace", "--misses", "4", "--accesses", "12",
+                     "--seed", "7", "--inject-leak"])
+        capsys.readouterr()
+        assert code == 0
+        assert leak_seeds == [7, 7, 7]

@@ -1,5 +1,6 @@
-"""The performance ledger: records, digests, the file, the migration."""
+"""The performance ledger: records, digests, the file, the PR3 history."""
 
+import importlib.util
 import json
 import os
 
@@ -8,14 +9,15 @@ import pytest
 from repro.config import DesignPoint, small_config
 from repro.obs.ledger import (LEDGER_DISABLE_ENV, LEDGER_ENV, LEDGER_SCHEMA,
                               Ledger, canonical_core_line, config_digest_hex,
-                              host_provenance, make_record,
-                              migrate_bench_pr3, point_key, resolve_ledger,
-                              simulation_core, sweep_scaling_core,
-                              verify_record)
+                              canonical_json, make_record,
+                              point_key, resolve_ledger, simulation_core,
+                              sweep_scaling_core, verify_record)
 from repro.sim.system import run_simulation
 
-PR3_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "benchmarks", "results", "BENCH_pr3.json")
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "benchmarks")
+PR3_PATH = os.path.join(BENCH_DIR, "results", "BENCH_pr3.json")
+TRAJECTORY_PATH = os.path.join(BENCH_DIR, "results", "perf_trajectory.jsonl")
 
 
 def _small_run():
@@ -189,25 +191,34 @@ class TestScalingCore:
 
 
 class TestMigration:
-    def test_migrates_the_committed_pr3_record(self):
+    def test_committed_pr3_history_is_what_the_script_reads(self,
+                                                           monkeypatch):
+        monkeypatch.syspath_prepend(BENCH_DIR)
+        spec = importlib.util.spec_from_file_location(
+            "_bench_perf_trend", os.path.join(BENCH_DIR,
+                                              "bench_perf_trend.py"))
+        trend = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trend)
+        records = trend.migrated_records()
+        with open(TRAJECTORY_PATH, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+        # the two records head the trajectory, and a --trajectory
+        # rewrite reproduces their lines byte for byte
+        assert [canonical_json(r) + "\n" for r in records] == lines[:2]
+        assert [r["kind"] for r in records] == ["gate", "sweep-scaling"]
+        assert all(verify_record(r) for r in records)
         with open(PR3_PATH, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        records = migrate_bench_pr3(payload)
-        assert [r["kind"] for r in records] == ["gate", "sweep-scaling"]
         gate, scaling = records
-        assert all(verify_record(r) for r in records)
         assert gate["core"]["point"]["design"] == "freecursive"
-        assert gate["core"]["measure"]["execution_cycles"] == 1078838
+        assert gate["core"]["measure"]["execution_cycles"] == \
+            payload["hotpath"]["cycles"] == 1078838
         assert gate["core"]["fingerprint"] == payload["code_fingerprint"]
         assert gate["host"]["migrated_from"] == "BENCH_pr3.json"
         assert scaling["core"]["measure"]["single_core_caveat"] is True
         assert scaling["core"]["measure"]["results_identical"] is True
 
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError):
-            migrate_bench_pr3({"schema": 3})
-
     def test_original_file_still_schema_one(self):
-        # the satellite contract: migration never rewrites the original
+        # the frozen original is never rewritten
         with open(PR3_PATH, "r", encoding="utf-8") as handle:
             assert json.load(handle)["schema"] == 1
