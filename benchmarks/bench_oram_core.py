@@ -43,8 +43,7 @@ def test_freecursive_access(benchmark):
 
 
 def test_split_protocol_access(benchmark):
-    protocol = SplitProtocol(levels=8, ways=2, block_bytes=64,
-                             stash_capacity=200)
+    protocol = SplitProtocol(levels=8, ways=2, block_bytes=64)
     payload = bytes(64)
     counter = iter(range(10**9))
 

@@ -62,8 +62,7 @@ def integrity() -> None:
     except IntegrityError as error:
         print(f"   replay detected: {error}")
 
-    protocol = SplitProtocol(levels=7, ways=2, block_bytes=64,
-                             stash_capacity=200, seed=3)
+    protocol = SplitProtocol(levels=7, ways=2, block_bytes=64, seed=3)
     protocol.write(1, b"x".ljust(64, b"\0"))
     victim = protocol.buffers[0]
     victim.tamper_bucket(next(iter(victim._store)))
@@ -79,8 +78,7 @@ def obliviousness() -> None:
     print("3. Obliviousness " + "-" * 52)
 
     def run(program):
-        protocol = SplitProtocol(levels=8, ways=2, block_bytes=64,
-                                 stash_capacity=200, seed=4,
+        protocol = SplitProtocol(levels=8, ways=2, block_bytes=64, seed=4,
                                  record_link=True)
         program(protocol)
         return protocol.link.shapes()

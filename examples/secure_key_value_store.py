@@ -59,8 +59,7 @@ class ObliviousKvStore:
     def __init__(self, capacity_blocks: int = 4096, ways: int = 2):
         levels = max(2, capacity_blocks.bit_length())
         self._oram = SplitProtocol(levels=levels, ways=ways,
-                                   block_bytes=BLOCK_BYTES,
-                                   stash_capacity=256, record_link=True)
+                                   block_bytes=BLOCK_BYTES, record_link=True)
         self._capacity = capacity_blocks
 
     def _slot(self, key: str) -> int:

@@ -189,10 +189,8 @@ def cmd_audit_trace(args) -> int:
     ``--inject-leak``) are correctly flagged as distinguishable — proving
     the comparison has teeth rather than vacuously passing.
     """
-    from repro.obs.audit import (audit_address_streams,
-                                 audit_indep_split_protocol,
-                                 audit_independent_protocol,
-                                 audit_split_protocol, run_full_audit)
+    from repro.obs.audit import (LINK_AUDIT_DESIGNS, audit_address_streams,
+                                 audit_link_protocol, run_full_audit)
 
     results = run_full_audit(misses=args.misses, accesses=args.accesses,
                              seed=args.seed, with_faults=args.with_faults)
@@ -200,10 +198,9 @@ def cmd_audit_trace(args) -> int:
         stream_a, stream_b = audit_address_streams(args.accesses,
                                                    seed=args.seed,
                                                    span=1 << 10)
-        for audit in (audit_independent_protocol, audit_split_protocol,
-                      audit_indep_split_protocol):
-            leak = audit(stream_a, stream_b, seed=args.seed,
-                         inject_leak=True)
+        for design in LINK_AUDIT_DESIGNS:
+            leak = audit_link_protocol(design, stream_a, stream_b,
+                                       seed=args.seed, inject_leak=True)
             leak.name = "negative-control:" + leak.name
             results.append(leak)
     sound = True
@@ -672,9 +669,9 @@ def cmd_perf_gate(args) -> int:
 def cmd_cache(args) -> int:
     """Handle ``repro cache``: inspect or prune the on-disk run cache.
 
-    ``stats`` prints the inventory (entries, how many are stale under
-    the current code fingerprint, disk bytes); ``prune`` deletes the
-    stale entries and reports how many went.
+    ``stats`` prints the inventory (entries, how many carry none of the
+    fingerprints the current code writes, disk bytes); ``prune`` deletes
+    those stale entries and reports how many went.
     """
     from repro.parallel import RunCache, default_cache_dir
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.independent import AccessOutcome, PartitionedProtocol
-from repro.core.split import SplitProtocol, _ShadowEntry, _StashSlice
+from repro.core.split import SplitProtocol
 from repro.core.transfer_queue import TransferQueue
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oram.bucket import Block
 from repro.oram.path_oram import Op
-from repro.utils.bitops import bit_slice, log2_exact
+from repro.utils.bitops import log2_exact
 from repro.utils.rng import DeterministicRng
 
 
@@ -42,7 +42,7 @@ class SplitGroup:
 
     def __init__(self, group_id: int, groups: int, global_levels: int,
                  ways: int, blocks_per_bucket: int, block_bytes: int,
-                 stash_capacity: int, transfer_queue_capacity: int,
+                 transfer_queue_capacity: int,
                  drain_probability: float, rng: DeterministicRng,
                  key: bytes, record_link: bool = False,
                  tracer: Tracer = NULL_TRACER):
@@ -57,7 +57,6 @@ class SplitGroup:
             ways=ways,
             blocks_per_bucket=blocks_per_bucket,
             block_bytes=block_bytes,
-            stash_capacity=stash_capacity,
             seed=rng.randint(0, 2**31),
             key=key + bytes([group_id]),
             record_link=record_link,
@@ -94,12 +93,8 @@ class SplitGroup:
             # The block is accessed while still in flight: pull it out of
             # the transfer queue straight into the split stashes.
             waiting = self.queue.remove(address)
-            split.shadow.append(_ShadowEntry(address,
-                                             self._local(old_global_leaf)))
-            for buffer in split.buffers:
-                buffer.stash.append(_StashSlice(
-                    plaintext=bit_slice(waiting.data, buffer.way,
-                                        buffer.ways)))
+            split.stash_block(address, self._local(old_global_leaf),
+                              waiting.data)
         split.posmap.set(address, self._local(old_global_leaf))
 
         new_global_leaf = self._rng.random_leaf(self.global_leaf_count)
@@ -122,12 +117,8 @@ class SplitGroup:
         if serviced is None:
             return
         local_leaf = self._local(serviced.leaf)
-        self.split.shadow.append(_ShadowEntry(serviced.address, local_leaf))
+        self.split.stash_block(serviced.address, local_leaf, serviced.data)
         self.split.posmap.set(serviced.address, local_leaf)
-        for buffer in self.split.buffers:
-            buffer.stash.append(_StashSlice(
-                plaintext=bit_slice(serviced.data, buffer.way,
-                                    buffer.ways)))
 
     def append(self, block: Optional[Block]) -> int:
         """Absorb an APPEND; real blocks enter the split stashes sliced.
@@ -158,7 +149,6 @@ class IndepSplitProtocol(PartitionedProtocol):
 
     def __init__(self, global_levels: int, groups: int = 2, ways: int = 2,
                  blocks_per_bucket: int = 4, block_bytes: int = 64,
-                 stash_capacity: int = 200,
                  transfer_queue_capacity: int = 128,
                  drain_probability: float = 0.05,
                  seed: int = 2018,
@@ -174,7 +164,6 @@ class IndepSplitProtocol(PartitionedProtocol):
                 ways=ways,
                 blocks_per_bucket=blocks_per_bucket,
                 block_bytes=block_bytes,
-                stash_capacity=stash_capacity,
                 transfer_queue_capacity=transfer_queue_capacity,
                 drain_probability=drain_probability,
                 rng=rng,

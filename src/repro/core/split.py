@@ -13,7 +13,7 @@ overhead the paper accepts).  One access proceeds as:
    the requested block; its *shadow stash* mirrors the SDIMM stashes
    index-for-index but holds only tags.
 4. FETCH_STASH(index) — each SDIMM returns that stash slot's data slice;
-   the CPU merges and decrypts.
+   the CPU merges them.
 5. RECEIVE_LIST — the CPU ships the eviction plan (which stash indices go
    to which path bucket slots), fresh metadata slices, the reassembled old
    counters (needed by the buffers to decrypt their fetched slices), and
@@ -22,13 +22,18 @@ overhead the paper accepts).  One access proceeds as:
    entries identically, keeping the stashes aligned.
 
 Stash state inside the buffer chip is trusted SRAM, so slices live there in
-plaintext once the counters arrive; DRAM only ever sees ciphertext.
+plaintext; DRAM only ever sees ciphertext.  A fetched bucket image is
+decrypted once, when its counter first reaches the buffer — at
+FETCH_STASH for the image holding the requested slot, at RECEIVE_LIST for
+the rest.  A dummy access (a transfer-queue drain) runs the very same
+steps on a random path and serves no block, so it is bus-identical to a
+real access by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.commands import SdimmCommand
 from repro.core.secure_buffer import LinkRecorder
@@ -40,10 +45,9 @@ from repro.obs.tracer import (
     StepClock,
     Tracer,
 )
-from repro.oram.bucket import Block
 from repro.oram.posmap import PositionMap
 from repro.oram.path_oram import Op
-from repro.oram.stash import Stash
+from repro.oram.stash import plan_greedy_eviction
 from repro.oram.tree import TreeGeometry
 from repro.utils.bitops import (
     bit_slice,
@@ -57,6 +61,8 @@ from repro.utils.rng import DeterministicRng
 _META_ENTRY_BYTES = 16
 #: Tag marking a dummy slot, matching repro.oram.bucket.DUMMY_TAG.
 _DUMMY_TAG = (1 << 64) - 1
+#: Serialized metadata entry of a dummy slot.
+_DUMMY_METADATA = _DUMMY_TAG.to_bytes(8, "little") + bytes(8)
 
 
 class SplitIntegrityError(Exception):
@@ -97,23 +103,6 @@ class _StoreCell:
 
 
 @dataclass
-class _FetchedImage:
-    """A bucket image pulled into the stash, decrypted on first use."""
-
-    bucket: int
-    image: bytes
-    slices: List["_StashSlice"]
-
-
-@dataclass
-class _StashSlice:
-    """One stash slot inside a buffer: ciphertext until counters arrive."""
-
-    plaintext: Optional[bytes] = None
-    fetched: Optional[_FetchedImage] = None
-
-
-@dataclass
 class _ShadowEntry:
     """The CPU's view of the same stash slot: tag-level only."""
 
@@ -151,7 +140,13 @@ class SplitBuffer:
         self._cipher = CounterModeCipher(key + bytes([way]))
         self._mac = PmmacAuthenticator(key + bytes([way]))
         self._store: Dict[int, _StoreCell] = {}
-        self.stash: List[_StashSlice] = []
+        #: one plaintext slice per stash slot; ``None`` marks a slot whose
+        #: image was fetched this access and is not decrypted yet
+        self.stash: List[Optional[bytes]] = []
+        #: this access's undecrypted images: first stash index -> (bucket,
+        #: image); each is decrypted once, when its counter first arrives
+        self._fetched: Dict[int, Tuple[int, bytes]] = {}
+        self._path_start = 0
         self.local_line_transfers = 0
         self.writes = 0
         self.record_trace = record_trace
@@ -164,19 +159,17 @@ class SplitBuffer:
 
     def fetch_data(self, leaf: int) -> None:
         """Pull this way's data slices of the whole path into the stash."""
+        self._path_start = len(self.stash)
+        empty = [bytes(self.slice_bytes)] * self.blocks_per_bucket
         for bucket in self.geometry.path(leaf):
             if self.record_trace:
                 self.bucket_trace.append(("read", bucket))
             cell = self._store.get(bucket)
             if cell is None:
-                entries = [_StashSlice(plaintext=bytes(self.slice_bytes))
-                           for _ in range(self.blocks_per_bucket)]
+                self.stash.extend(empty)
             else:
-                fetched = _FetchedImage(bucket, cell.image, [])
-                entries = [_StashSlice(fetched=fetched)
-                           for _ in range(self.blocks_per_bucket)]
-                fetched.slices = entries
-            self.stash.extend(entries)
+                self._fetched[len(self.stash)] = (bucket, cell.image)
+                self.stash.extend([None] * self.blocks_per_bucket)
             self.local_line_transfers += self.blocks_per_bucket
 
     # ------------------------------------------------------------------
@@ -219,22 +212,18 @@ class SplitBuffer:
         ``counter_hints`` maps origin bucket -> full counter; within one
         access the CPU has just reassembled them from the metadata reads.
         """
-        entry = self.stash[index]
-        self._materialize(entry, counter_hints)
-        return entry.plaintext
+        first = index - (index - self._path_start) % self.blocks_per_bucket
+        if first in self._fetched:
+            self._decrypt_image(first, counter_hints)
+        return self.stash[index]
 
-    def _materialize(self, entry: _StashSlice,
-                     counters: Dict[int, int]) -> None:
-        """Decrypt the entry's whole fetched image, filling every slot."""
-        if entry.plaintext is not None:
-            return
-        fetched = entry.fetched
-        plaintext = self._cipher.decrypt(fetched.image, fetched.bucket,
-                                         counters[fetched.bucket])
+    def _decrypt_image(self, first: int, counters: Dict[int, int]) -> None:
+        """Decrypt one fetched image into its slots, starting at ``first``."""
+        bucket, image = self._fetched.pop(first)
+        plaintext = self._cipher.decrypt(image, bucket, counters[bucket])
         offset = self.meta_slice_bytes
-        for piece in fetched.slices:
-            piece.plaintext = plaintext[offset:offset + self.slice_bytes]
-            piece.fetched = None
+        for index in range(first, first + self.blocks_per_bucket):
+            self.stash[index] = plaintext[offset:offset + self.slice_bytes]
             offset += self.slice_bytes
 
     # ------------------------------------------------------------------
@@ -258,13 +247,13 @@ class SplitBuffer:
         and discarded indices are then removed, keeping this stash aligned
         with the CPU's shadow.
         """
-        # Decrypt everything fetched this access while its counters are at
-        # hand; leftovers from earlier accesses are already plaintext, so
-        # after every RECEIVE_LIST the whole (trusted-SRAM) stash is clear.
-        for entry in self.stash:
-            self._materialize(entry, old_counters)
-        if 0 <= updated_index < len(self.stash):
-            self.stash[updated_index].plaintext = updated_slice
+        # Decrypt the rest of this access's images while their counters
+        # are at hand; leftovers from earlier accesses are already
+        # plaintext, so after every RECEIVE_LIST the whole (trusted-SRAM)
+        # stash is clear.
+        for first in list(self._fetched):
+            self._decrypt_image(first, old_counters)
+        self.stash[updated_index] = updated_slice
         consumed = set(discard_indices)
         dummy = bytes(self.slice_bytes)
         for bucket, slots, metadata, counter in zip(
@@ -276,7 +265,7 @@ class SplitBuffer:
                 if slot_index is None:
                     pieces.append(dummy)
                 else:
-                    pieces.append(self.stash[slot_index].plaintext)
+                    pieces.append(self.stash[slot_index])
                     consumed.add(slot_index)
             image = self._cipher.encrypt(b"".join(pieces), bucket, counter)
             counter_slice = split_bits_round_robin(
@@ -285,7 +274,7 @@ class SplitBuffer:
                                 image)
             self._store[bucket] = _StoreCell(counter_slice, image, mac)
             self.writes += 1
-        self.stash = [entry for index, entry in enumerate(self.stash)
+        self.stash = [piece for index, piece in enumerate(self.stash)
                       if index not in consumed]
 
     # ------------------------------------------------------------------
@@ -321,7 +310,7 @@ class SplitProtocol:
 
     def __init__(self, levels: int, ways: int = 2,
                  blocks_per_bucket: int = 4, block_bytes: int = 64,
-                 stash_capacity: int = 200, seed: int = 2018,
+                 seed: int = 2018,
                  key: bytes = b"split-protocol-key",
                  record_link: bool = False,
                  record_trace: bool = False,
@@ -334,7 +323,6 @@ class SplitProtocol:
         self.ways = ways
         self.blocks_per_bucket = blocks_per_bucket
         self.block_bytes = block_bytes
-        self.stash_capacity = stash_capacity
         rng = DeterministicRng(seed, "split")
         self.rng = rng
         self.posmap = PositionMap(self.geometry.leaf_count,
@@ -390,23 +378,45 @@ class SplitProtocol:
         if op is Op.WRITE and (data is None or
                                len(data) != self.block_bytes):
             raise ValueError("write requires a full-size payload")
-        self.accesses += 1
         old_leaf = self.posmap.lookup(address)
         if override_new_leaf is not None:
             new_leaf = override_new_leaf
         else:
             new_leaf = self.rng.random_leaf(self.geometry.leaf_count)
         self.posmap.set(address, new_leaf)
-        path = self.geometry.path(old_leaf)
+        return self._path_access(old_leaf, address, new_leaf,
+                                 data if op is Op.WRITE else None,
+                                 remove_after)
+
+    def dummy_access(self) -> None:
+        """An access serving no block (transfer-queue drains).
+
+        Runs every step of :meth:`access` on a uniformly random path, so on
+        the bus it looks exactly like a real access.
+        """
+        self._path_access(self.rng.random_leaf(self.geometry.leaf_count))
+
+    def _path_access(self, leaf: int, address: Optional[int] = None,
+                     new_leaf: int = 0, data: Optional[bytes] = None,
+                     remove_after: bool = False) -> bytes:
+        """The five steps of one access along ``leaf``'s path.
+
+        ``address`` None is a dummy: it fetches the path's first stash
+        slot and writes that slot back unchanged.  ``data`` None keeps the
+        fetched block; otherwise it replaces it.  Returns the fetched block.
+        """
+        self.accesses += 1
+        path = self.geometry.path(leaf)
 
         # Step 1: FETCH_DATA to every buffer (command only on the channel).
         start = self.clock.now
         for way, buffer in enumerate(self.buffers):
             self.link.up(SdimmCommand.FETCH_DATA, way, 0)
-            buffer.fetch_data(old_leaf)
+            buffer.fetch_data(leaf)
         self._phase_span("FETCH_DATA", start)
 
         # Step 2+3: metadata reads; merge slices and extend the shadow.
+        path_start = len(self.shadow)
         start = self.clock.now
         old_counters: Dict[int, int] = {}
         for bucket in path:
@@ -422,92 +432,60 @@ class SplitProtocol:
         self._phase_span("METADATA", start)
 
         # Step 3b: find the requested block among the real tags.
-        found_index = None
-        for index, entry in enumerate(self.shadow):
-            if entry.address == address:
-                found_index = index
-                break
-        if found_index is None:
-            self.shadow.append(_ShadowEntry(address, new_leaf))
-            found_index = len(self.shadow) - 1
-            for buffer in self.buffers:
-                buffer.stash.append(_StashSlice(
-                    plaintext=bytes(buffer.slice_bytes)))
+        if address is None:
+            index = path_start
         else:
-            self.shadow[found_index].leaf = new_leaf
+            index = self._locate(address, new_leaf)
 
         # Step 4: FETCH_STASH from every buffer; merge the data slices.
         start = self.clock.now
         slices = []
         for way, buffer in enumerate(self.buffers):
             self.link.up(SdimmCommand.FETCH_STASH, way, 8)
-            piece = buffer.fetch_stash(found_index, old_counters)
+            slices.append(buffer.fetch_stash(index, old_counters))
             self.link.down(SdimmCommand.FETCH_STASH, way,
                            buffer.slice_bytes)
-            slices.append(piece)
         self._phase_span("FETCH_STASH", start)
-        merged = merge_bit_slices(slices)
-        result = merged
-        if op is Op.WRITE:
-            merged = data
+        result = merge_bit_slices(slices)
         if remove_after:
             # The block is leaving this partition: turn its slot into a
             # dummy so the write-back discards it on every side at once.
-            self.shadow[found_index].address = None
+            self.shadow[index].address = None
 
         # Step 5: plan eviction on the shadow, ship RECEIVE_LIST.
         start = self.clock.now
-        self._write_back(path, old_counters, found_index, merged)
+        self._write_back(leaf, path, old_counters, index,
+                         result if data is None else data)
         self._phase_span("RECEIVE_LIST", start)
         self.stash_peak = max(self.stash_peak, len(self.shadow))
         return result
+
+    def _locate(self, address: int, new_leaf: int) -> int:
+        """Shadow index of ``address``, remapped to ``new_leaf``.
+
+        A block not in the stash or on the path is new: it enters as zeros.
+        """
+        for index, entry in enumerate(self.shadow):
+            if entry.address == address:
+                entry.leaf = new_leaf
+                return index
+        return self.stash_block(address, new_leaf, bytes(self.block_bytes))
+
+    def stash_block(self, address: int, leaf: int, data: bytes) -> int:
+        """Put a plaintext block into the shadow and every way's stash.
+
+        Returns its stash index (the same on every side).
+        """
+        self.shadow.append(_ShadowEntry(address, leaf))
+        for buffer in self.buffers:
+            buffer.stash.append(bit_slice(data, buffer.way, self.ways))
+        return len(self.shadow) - 1
 
     def _phase_span(self, name: str, start: int) -> None:
         """Close one protocol-phase span over the logical link clock."""
         if self.tracer.enabled:
             self.tracer.span(name, CATEGORY_PROTOCOL, self.trace_lane,
                              start, max(start + 1, self.clock.now))
-
-    def dummy_access(self) -> None:
-        """A structurally identical access serving no block (queue drains).
-
-        Fetches a uniformly random path, reads metadata, fetches one stash
-        slot, and writes the path back — on the bus it looks exactly like a
-        real access.
-        """
-        leaf = self.rng.random_leaf(self.geometry.leaf_count)
-        path = self.geometry.path(leaf)
-        self.accesses += 1
-        start = self.clock.now
-        for way, buffer in enumerate(self.buffers):
-            self.link.up(SdimmCommand.FETCH_DATA, way, 0)
-            buffer.fetch_data(leaf)
-        self._phase_span("FETCH_DATA", start)
-        base_index = len(self.shadow)
-        start = self.clock.now
-        old_counters: Dict[int, int] = {}
-        for bucket in path:
-            metadata = self._read_bucket_metadata(bucket)
-            old_counters[bucket] = metadata.counter
-            for slot in range(self.blocks_per_bucket):
-                tag = metadata.tags[slot]
-                if tag == _DUMMY_TAG:
-                    self.shadow.append(_ShadowEntry(None))
-                else:
-                    self.shadow.append(_ShadowEntry(tag,
-                                                    metadata.leaves[slot]))
-        self._phase_span("METADATA", start)
-        start = self.clock.now
-        for way, buffer in enumerate(self.buffers):
-            self.link.up(SdimmCommand.FETCH_STASH, way, 8)
-            buffer.fetch_stash(base_index, old_counters)
-            self.link.down(SdimmCommand.FETCH_STASH, way,
-                           buffer.slice_bytes)
-        self._phase_span("FETCH_STASH", start)
-        start = self.clock.now
-        self._write_back(path, old_counters, -1, bytes(self.block_bytes))
-        self._phase_span("RECEIVE_LIST", start)
-        self.stash_peak = max(self.stash_peak, len(self.shadow))
 
     # ------------------------------------------------------------------
 
@@ -578,48 +556,34 @@ class SplitProtocol:
         return BucketMetadata(tags, leaves, counter)
 
     def _empty_metadata_slice(self, way: int) -> bytes:
-        full = b""
-        for _ in range(self.blocks_per_bucket):
-            full += _DUMMY_TAG.to_bytes(8, "little") + bytes(8)
-        return bit_slice(full, way, self.ways)
+        return bit_slice(_DUMMY_METADATA * self.blocks_per_bucket, way,
+                         self.ways)
 
-    def _write_back(self, path: List[int], old_counters: Dict[int, int],
-                    updated_index: int, updated_data: bytes) -> None:
-        # Greedy eviction over the shadow (tags only), reusing the standard
-        # Path ORAM planner via throwaway Block records.
-        planner = Stash(self.stash_capacity)
-        index_of = {}
-        for index, entry in enumerate(self.shadow):
-            if entry.address is not None:
-                planner.add(Block(entry.address, entry.leaf, b""))
-                index_of[entry.address] = index
-        leaf = self._leaf_of_path(path)
-        placement = planner.plan_eviction(self.geometry, leaf,
-                                          self.blocks_per_bucket)
+    def _write_back(self, leaf: int, path: Sequence[int],
+                    old_counters: Dict[int, int], updated_index: int,
+                    updated_data: bytes) -> None:
+        # Greedy eviction over the shadow's real (index, leaf) entries.
+        placement = plan_greedy_eviction(
+            self.geometry, leaf, self.blocks_per_bucket,
+            [(index, entry.leaf) for index, entry in enumerate(self.shadow)
+             if entry.address is not None])
 
         placements: List[List[Optional[int]]] = []
         metadata_full: List[bytes] = []
         new_counters: List[int] = []
         for level, bucket in enumerate(path):
-            slots: List[Optional[int]] = []
             chosen = placement.get(level, [])
-            metadata = b""
-            for slot in range(self.blocks_per_bucket):
-                if slot < len(chosen):
-                    block = chosen[slot]
-                    slots.append(index_of[block.address])
-                    metadata += block.address.to_bytes(8, "little")
-                    metadata += block.leaf.to_bytes(8, "little")
-                else:
-                    slots.append(None)
-                    metadata += _DUMMY_TAG.to_bytes(8, "little") + bytes(8)
-            placements.append(slots)
+            vacant = self.blocks_per_bucket - len(chosen)
+            metadata = b"".join(
+                self.shadow[index].address.to_bytes(8, "little") +
+                self.shadow[index].leaf.to_bytes(8, "little")
+                for index in chosen) + _DUMMY_METADATA * vacant
+            placements.append(chosen + [None] * vacant)
             metadata_full.append(metadata)
             new_counters.append(old_counters[bucket] + 1)
             self._expected_counters[bucket] = new_counters[-1]
 
-        placed = {index for slots in placements for index in slots
-                  if index is not None}
+        placed = {index for chosen in placement.values() for index in chosen}
         discard = [index for index, entry in enumerate(self.shadow)
                    if entry.address is None]
 
@@ -637,10 +601,6 @@ class SplitProtocol:
         consumed = placed | set(discard)
         self.shadow = [entry for index, entry in enumerate(self.shadow)
                        if index not in consumed]
-
-    def _leaf_of_path(self, path: List[int]) -> int:
-        leaf_bucket = path[-1]
-        return self.geometry.position_of(leaf_bucket)
 
     # ------------------------------------------------------------------
 

@@ -176,14 +176,12 @@ def _build_protocol(spec: CampaignSpec, tracer: Tracer):
             levels=spec.levels, ways=2,
             blocks_per_bucket=spec.blocks_per_bucket,
             block_bytes=spec.block_bytes,
-            stash_capacity=spec.stash_capacity,
             seed=spec.seed, key=_CAMPAIGN_KEY, record_link=True,
             tracer=tracer)
     return IndepSplitProtocol(
         global_levels=spec.levels, groups=spec.sites, ways=2,
         blocks_per_bucket=spec.blocks_per_bucket,
-        block_bytes=spec.block_bytes, stash_capacity=spec.stash_capacity,
-        seed=spec.seed, key=_CAMPAIGN_KEY, record_link=True,
+        block_bytes=spec.block_bytes, seed=spec.seed, key=_CAMPAIGN_KEY, record_link=True,
         tracer=tracer)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
@@ -37,7 +36,7 @@ from repro.lint.registry import FileContext, Rule, select_rules
 from repro.lint.suppressions import (SuppressionIndex, Scope,
                                      parse_suppressions)
 from repro.parallel.cache import RunCache, content_key
-from repro.parallel.fingerprint import code_fingerprint
+from repro.parallel.fingerprint import lint_fingerprint
 from repro.parallel.sweep import cached_map
 
 _SKIP_DIRECTORIES = {"__pycache__", ".git", ".venv", "venv",
@@ -219,8 +218,7 @@ def _run_file_phase(files: Sequence[Path], rule_ids: Sequence[str],
     fingerprint: Optional[str] = None
     if cache_dir is not None:
         cache = RunCache(cache_dir)
-        fingerprint = code_fingerprint(
-            root=os.path.dirname(os.path.abspath(__file__)))
+        fingerprint = lint_fingerprint()
     tasks = [(str(path), tuple(rule_ids)) for path in files]
     return [_outcome_from_dict(payload)
             for payload, _ in cached_map(_file_worker, tasks, _file_key,

@@ -15,9 +15,7 @@ from repro.obs.audit import (AuditResult, LeakyLink, adversary_observations,
                              audit_adaptive_control,
                              audit_address_streams,
                              audit_freecursive_protocol,
-                             audit_indep_split_protocol,
-                             audit_independent_protocol,
-                             audit_split_protocol, audit_timing_design,
+                             audit_link_protocol, audit_timing_design,
                              compare_observables, run_full_audit,
                              scan_secret_args)
 from repro.obs.chrome import (chrome_trace_events, render_chrome_trace,
@@ -47,9 +45,8 @@ from repro.obs.tracer import (CATEGORY_BUS, CATEGORY_CPU, CATEGORY_DRAM,
 __all__ = [
     "AuditResult", "LeakyLink", "adversary_observations",
     "audit_adaptive_control", "audit_address_streams",
-    "audit_freecursive_protocol",
-    "audit_indep_split_protocol", "audit_independent_protocol",
-    "audit_split_protocol", "audit_timing_design", "compare_observables",
+    "audit_freecursive_protocol", "audit_link_protocol",
+    "audit_timing_design", "compare_observables",
     "run_full_audit", "scan_secret_args",
     "chrome_trace_events", "render_chrome_trace", "write_chrome_trace",
     "LEDGER_SCHEMA", "Ledger", "canonical_core_line", "host_clock_s",

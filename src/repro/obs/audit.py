@@ -273,78 +273,63 @@ class LeakyLink:
         return len(self._inner)
 
 
-def _drive_link_protocol(protocol, addresses: Sequence[int],
-                         inject_leak: bool) -> List[Tuple]:
-    """Run an address stream through a core protocol; canonical shapes."""
-    if inject_leak:
-        protocol.link = LeakyLink()
-    for address in addresses:
-        if inject_leak:
-            protocol.link.leak_bit = protocol.posmap.lookup(address) & 1
-        protocol.read(address)
-    return protocol.link.shapes()
+#: The functional designs :func:`audit_link_protocol` audits, in report
+#: order, with their default tree depth: the combined design spends one
+#: level on its group partition.
+LINK_AUDIT_DESIGNS = {"independent": 6, "split": 6, "indep-split": 7}
 
 
-def audit_independent_protocol(addresses_a: Sequence[int],
-                               addresses_b: Sequence[int],
-                               levels: int = 6, sdimms: int = 2,
-                               seed: int = 2018,
-                               inject_leak: bool = False) -> AuditResult:
-    """Link-shape audit of the functional Independent protocol."""
-    from repro.core.independent import IndependentProtocol
+def _link_protocol(design: str, levels: int, sites: int, seed: int):
+    """A link-recording core protocol of ``design`` over ``sites``."""
+    if design == "independent":
+        from repro.core.independent import IndependentProtocol
 
-    shapes = []
-    for stream in (addresses_a, addresses_b):
-        protocol = IndependentProtocol(global_levels=levels,
-                                       sdimm_count=sdimms, seed=seed,
-                                       record_link=True)
-        shapes.append(_drive_link_protocol(protocol, stream, inject_leak))
-    suffix = "+leak" if inject_leak else ""
-    return compare_observables(f"protocol:independent{suffix}",
-                               "link-shape", shapes[0], shapes[1])
+        return IndependentProtocol(global_levels=levels, sdimm_count=sites,
+                                   seed=seed, record_link=True)
+    if design == "split":
+        from repro.core.split import SplitProtocol
 
-
-def audit_split_protocol(addresses_a: Sequence[int],
-                         addresses_b: Sequence[int],
-                         levels: int = 6, ways: int = 2,
-                         seed: int = 2018,
-                         inject_leak: bool = False) -> AuditResult:
-    """Link-shape audit of the functional Split protocol."""
-    from repro.core.split import SplitProtocol
-
-    shapes = []
-    for stream in (addresses_a, addresses_b):
-        protocol = SplitProtocol(levels=levels, ways=ways, seed=seed,
-                                 record_link=True)
-        shapes.append(_drive_link_protocol(protocol, stream, inject_leak))
-    suffix = "+leak" if inject_leak else ""
-    return compare_observables(f"protocol:split{suffix}",
-                               "link-shape", shapes[0], shapes[1])
-
-
-def audit_indep_split_protocol(addresses_a: Sequence[int],
-                               addresses_b: Sequence[int],
-                               levels: int = 7, groups: int = 2,
-                               seed: int = 2018,
-                               inject_leak: bool = False) -> AuditResult:
-    """Link-shape audit of the combined protocol's top-level link.
-
-    The top-level link (ACCESS / FETCH_RESULT / APPEND broadcast) has a
-    fixed per-access shape.  Group-internal Split traffic is paced by the
-    transfer-queue drain lottery, whose *positions* are randomness-driven
-    (distributionally identical, not pointwise equal), so it is audited
-    through :func:`audit_split_protocol` separately rather than compared
-    pointwise here.
-    """
+        return SplitProtocol(levels=levels, ways=sites, seed=seed,
+                             record_link=True)
     from repro.core.indep_split import IndepSplitProtocol
 
+    return IndepSplitProtocol(global_levels=levels, groups=sites, seed=seed,
+                              record_link=True)
+
+
+def audit_link_protocol(design: str, addresses_a: Sequence[int],
+                        addresses_b: Sequence[int],
+                        levels: Optional[int] = None, sites: int = 2,
+                        seed: int = 2018,
+                        inject_leak: bool = False) -> AuditResult:
+    """Link-shape audit of one functional protocol.
+
+    ``design`` is ``"independent"``, ``"split"`` or ``"indep-split"``;
+    ``sites`` is its SDIMM, way or group count, and ``levels`` defaults
+    to 6 (7 for the combined design).  ``inject_leak`` plants a
+    :class:`LeakyLink`, which the audit must flag.
+
+    For the combined design this is its top-level link (ACCESS /
+    FETCH_RESULT / APPEND broadcast), which has a fixed per-access shape.
+    Group-internal Split traffic is paced by the transfer-queue drain
+    lottery, whose *positions* are randomness-driven (distributionally
+    identical, not pointwise equal), so it is audited through the
+    ``"split"`` design separately rather than compared pointwise here.
+    """
+    if levels is None:
+        levels = LINK_AUDIT_DESIGNS[design]
     shapes = []
     for stream in (addresses_a, addresses_b):
-        protocol = IndepSplitProtocol(global_levels=levels, groups=groups,
-                                      seed=seed, record_link=True)
-        shapes.append(_drive_link_protocol(protocol, stream, inject_leak))
+        protocol = _link_protocol(design, levels, sites, seed)
+        if inject_leak:
+            protocol.link = LeakyLink()
+        for address in stream:
+            if inject_leak:
+                protocol.link.leak_bit = protocol.posmap.lookup(address) & 1
+            protocol.read(address)
+        shapes.append(protocol.link.shapes())
     suffix = "+leak" if inject_leak else ""
-    return compare_observables(f"protocol:indep-split{suffix}",
+    return compare_observables(f"protocol:{design}{suffix}",
                                "link-shape", shapes[0], shapes[1])
 
 
@@ -738,9 +723,8 @@ def run_full_audit(misses: int = 12, accesses: int = 48,
         audit_timing_design(DesignPoint.INDEP_SPLIT, misses=misses,
                             channels=2, seed=seed),
         audit_freecursive_protocol(stream_a, stream_b, seed=seed),
-        audit_independent_protocol(stream_a, stream_b, seed=seed),
-        audit_split_protocol(stream_a, stream_b, seed=seed),
-        audit_indep_split_protocol(stream_a, stream_b, seed=seed),
+        *[audit_link_protocol(design, stream_a, stream_b, seed=seed)
+          for design in LINK_AUDIT_DESIGNS],
         audit_sharded_routing(stream_a, stream_b, seed=seed),
         audit_adaptive_control(seed=seed),
     ]

@@ -4,16 +4,20 @@ The stash temporarily holds blocks read off a path (plus any that could not
 be evicted earlier).  Write-back walks the just-read path from the *leaf up*
 and greedily packs each bucket with stash blocks whose assigned leaf shares
 the path at that level — the standard Path ORAM eviction that keeps the
-stash small with overwhelming probability for Z >= 4.
+stash small with overwhelming probability for Z >= 4.  The planner,
+:func:`plan_greedy_eviction`, also plans the Split protocol's write-back
+over its tag-only shadow stash.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.obs.tracer import CATEGORY_STASH, NULL_TRACER, StepClock, Tracer
 from repro.oram.bucket import Block
 from repro.oram.tree import TreeGeometry
+
+_Item = TypeVar("_Item")
 
 
 class Stash:
@@ -70,30 +74,45 @@ class Stash:
                       bucket_capacity: int) -> Dict[int, List[Block]]:
         """Choose which stash blocks go to which bucket of ``leaf``'s path.
 
-        Walks levels leaf-to-root; at each level, takes up to
-        ``bucket_capacity`` blocks whose own leaf path passes through that
-        bucket (i.e. whose deepest common level with ``leaf`` is at least
-        the bucket's level).  Selected blocks are removed from the stash.
-
-        Returns a map from level to the block list for that level's bucket.
+        The greedy plan of :func:`plan_greedy_eviction` over the stash's
+        blocks; selected blocks are removed from the stash.  Returns a map
+        from level to the block list for that level's bucket.
         """
-        placement: Dict[int, List[Block]] = {}
-        remaining = list(self._blocks.values())
-        for level in range(geometry.levels - 1, -1, -1):
-            chosen: List[Block] = []
-            survivors: List[Block] = []
-            for block in remaining:
-                fits = (len(chosen) < bucket_capacity and
-                        geometry.deepest_common_level(block.leaf, leaf) >= level)  # reprolint: disable=SEC003 -- leaf comparison inside trusted SRAM; result never leaves the stash
-                if fits:  # reprolint: disable=SEC003 -- greedy eviction runs in trusted SRAM; write-back shape is the fixed full path regardless of which blocks fit
-                    chosen.append(block)
-                else:
-                    survivors.append(block)
-            remaining = survivors
-            if chosen:
-                placement[level] = chosen
-                for block in chosen:
-                    del self._blocks[block.address]
+        placement = plan_greedy_eviction(
+            geometry, leaf, bucket_capacity,
+            [(block, block.leaf) for block in self._blocks.values()])
+        for chosen in placement.values():
+            for block in chosen:
+                del self._blocks[block.address]
         if self.tracer.enabled and placement:
             self._sample()
         return placement
+
+
+def plan_greedy_eviction(geometry: TreeGeometry, leaf: int,
+                         bucket_capacity: int,
+                         entries: Iterable[Tuple[_Item, int]]
+                         ) -> Dict[int, List[_Item]]:
+    """The greedy leaf-to-root write-back plan over ``(item, leaf)`` pairs.
+
+    Walks levels leaf-to-root; at each level, takes (in ``entries`` order)
+    up to ``bucket_capacity`` items whose own leaf path passes through that
+    bucket (i.e. whose deepest common level with ``leaf`` is at least the
+    bucket's level).  Returns a map from level to the items chosen for that
+    level's bucket; a level that gets nothing is absent.
+    """
+    remaining = [(item, geometry.deepest_common_level(item_leaf, leaf))  # reprolint: disable=SEC003 -- leaf comparison inside trusted SRAM; result never leaves the stash
+                 for item, item_leaf in entries]
+    placement: Dict[int, List[_Item]] = {}
+    for level in range(geometry.levels - 1, -1, -1):
+        chosen: List[_Item] = []
+        survivors = []
+        for item, depth in remaining:
+            if len(chosen) < bucket_capacity and depth >= level:  # reprolint: disable=SEC003 -- greedy eviction runs in trusted SRAM; write-back shape is the fixed full path regardless of which blocks fit
+                chosen.append(item)
+            else:
+                survivors.append((item, depth))
+        remaining = survivors
+        if chosen:
+            placement[level] = chosen
+    return placement

@@ -32,7 +32,7 @@ import os
 import tempfile
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.parallel.fingerprint import code_fingerprint
+from repro.parallel.fingerprint import code_fingerprint, current_fingerprints
 from repro.parallel.serialize import SCHEMA_VERSION, canonical_json
 
 #: Environment override consulted by CLI/benchmark entry points.
@@ -157,9 +157,10 @@ class RunCache:
     def _scan(self, fingerprint: Optional[str]
               ) -> Iterator[Tuple[str, Optional[bool]]]:
         """``(path, current)`` per entry on disk; ``current`` is ``None``
-        for an unreadable entry."""
-        current = fingerprint if fingerprint is not None \
-            else code_fingerprint()
+        for an unreadable entry.  Without ``fingerprint``, an entry is
+        current under any fingerprint the current code writes."""
+        current = {fingerprint} if fingerprint is not None \
+            else current_fingerprints()
         if not os.path.isdir(self.directory):
             return
         for directory, _, files in sorted(os.walk(self.directory)):
@@ -174,7 +175,7 @@ class RunCache:
                     yield path, None
                     continue
                 yield path, (isinstance(entry, dict)
-                             and entry.get("fingerprint") == current)
+                             and entry.get("fingerprint") in current)
 
     def prune_stale(self, fingerprint: Optional[str] = None) -> int:
         """Delete entries written under a different code fingerprint.

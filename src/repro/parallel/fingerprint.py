@@ -6,7 +6,8 @@ in a digest of the whole ``repro`` package source.  Any committed change
 — a timing parameter, a scheduler tweak, a new RNG draw — changes the
 fingerprint, every old key becomes unreachable, and the cache cold-starts
 instead of serving stale cycles.  (``RunCache.prune_stale`` reclaims the
-orphaned entries.)
+orphaned entries.)  The lint cache is stamped with
+:func:`lint_fingerprint`, a digest of the ``repro.lint`` sources alone.
 
 Hashing the entire package is deliberately coarse: a docstring edit also
 invalidates, but a false cold start costs seconds while a false hit
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Optional
+from typing import FrozenSet, Optional
 
 _cached_fingerprint: Optional[str] = None
 
@@ -54,3 +55,17 @@ def code_fingerprint(root: Optional[str] = None) -> str:
     if root is None:
         _cached_fingerprint = fingerprint
     return fingerprint
+
+
+def lint_fingerprint() -> str:
+    """Digest of the ``repro.lint`` sources alone: the lint cache's stamp.
+
+    Editing a rule cold-starts the lint cache; editing the simulator
+    does not.
+    """
+    return code_fingerprint(root=os.path.join(package_root(), "lint"))
+
+
+def current_fingerprints() -> FrozenSet[str]:
+    """Every fingerprint the current code stamps on a cache entry."""
+    return frozenset((code_fingerprint(), lint_fingerprint()))

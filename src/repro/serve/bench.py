@@ -188,16 +188,14 @@ def build_serving_protocol(spec: ServeSpec, shard: Optional[int] = None):
         return SplitProtocol(
             levels=spec.levels, ways=2,
             blocks_per_bucket=spec.blocks_per_bucket,
-            block_bytes=spec.block_bytes,
-            stash_capacity=spec.stash_capacity, seed=spec.seed,
+            block_bytes=spec.block_bytes, seed=spec.seed,
             key=key, record_link=True)
     from repro.core.indep_split import IndepSplitProtocol
 
     return IndepSplitProtocol(
         global_levels=spec.levels, groups=spec.sites, ways=2,
         blocks_per_bucket=spec.blocks_per_bucket,
-        block_bytes=spec.block_bytes,
-        stash_capacity=spec.stash_capacity, seed=spec.seed,
+        block_bytes=spec.block_bytes, seed=spec.seed,
         key=key, record_link=True)
 
 

@@ -628,6 +628,36 @@ class SplitGroupDevice:
             emit_batch(self.tracer, batch)
         return end
 
+    def _member_pass(self, leaf: int, shares, rank_indices, is_write: bool,
+                     start: int, runs: Optional[List]
+                     ) -> Tuple[List[int], bool, Optional[List]]:
+        """One path read or write-back across every member, in order.
+
+        Each member's share is stamped flat when it can be, else scheduled
+        from the path's ``runs`` (built on first need).  Returns the
+        per-member end times, whether every member stamped flat, and the
+        runs for the other pass.
+        """
+        ends = []
+        all_fast = shares is not None
+        for way, member in enumerate(self.members):
+            member_start = start
+            if not is_write:
+                member.path_accesses += 1
+                member_start = member.prepare_rank(leaf, start)
+            end = None
+            if shares is not None:
+                end = self._stamp_member_pass(member, shares[way], is_write,
+                                              member_start, rank_indices)
+            if end is None:
+                all_fast = False
+                if runs is None:
+                    runs = self.members[0]._path_runs(leaf)
+                share = SdimmDevice.slice_runs(runs, way, self.ways)
+                end = member.schedule_runs(share, is_write, member_start)
+            ends.append(end)
+        return ends, all_fast, runs
+
     def perform_access(self, start: int) -> int:
         """One split accessORAM; returns the *backend busy-until* time.
 
@@ -645,24 +675,9 @@ class SplitGroupDevice:
                 shares = pattern.slices(self.ways)
                 rank_indices = tuple(rank for _, rank
                                      in pattern.touched_ranks)
-        all_fast = shares is not None
-        runs = None
         # Step 1: FETCH_DATA — every member pulls its slice of the path.
-        read_ends = []
-        for way, member in enumerate(self.members):
-            member.path_accesses += 1
-            member_start = member.prepare_rank(leaf, start)
-            end = None
-            if shares is not None:
-                end = self._stamp_member_pass(member, shares[way], False,
-                                              member_start, rank_indices)
-            if end is None:
-                all_fast = False
-                if runs is None:
-                    runs = leader._path_runs(leaf)
-                share = SdimmDevice.slice_runs(runs, way, self.ways)
-                end = member.schedule_runs(share, False, member_start)
-            read_ends.append(end)
+        read_ends, read_fast, runs = self._member_pass(
+            leaf, shares, rank_indices, False, start, None)
         # Step 2: metadata slices cross the main bus (1 line per bucket in
         # total, split across the members' buses).
         meta_end = start
@@ -684,21 +699,10 @@ class SplitGroupDevice:
             list_end = max(list_end, end)
         data_ready = stash_end + self.crypto
         self._last_data_ready = data_ready
-        write_ends = []
-        for way, member in enumerate(self.members):
-            end = None
-            if shares is not None:
-                end = self._stamp_member_pass(member, shares[way], True,
-                                              list_end, rank_indices)
-            if end is None:
-                all_fast = False
-                if runs is None:
-                    runs = leader._path_runs(leaf)
-                share = SdimmDevice.slice_runs(runs, way, self.ways)
-                end = member.schedule_runs(share, True, list_end)
-            write_ends.append(end)
+        write_ends, write_fast, _ = self._member_pass(
+            leaf, shares, rank_indices, True, list_end, runs)
         write_end = max(write_ends)
-        if all_fast:
+        if read_fast and write_fast:
             self.fastpath_accesses += 1
         if self.tracer.enabled:
             lane = self.name

@@ -82,7 +82,7 @@ class TestSplitMessageStructure:
         same per-bucket metadata line count on the buses."""
         levels = 8
         functional = SplitProtocol(levels=levels, ways=2, block_bytes=16,
-                                   stash_capacity=200, record_link=True)
+                                   record_link=True)
         functional.read(1)
         metadata_messages = sum(1 for event in functional.link.events
                                 if event.command is None)

@@ -14,7 +14,7 @@ from tests.keystream import slot_region_reuse
 def make_protocol(levels=8, groups=2, ways=2, seed=2018, p=0.1, **kwargs):
     return IndepSplitProtocol(
         global_levels=levels, groups=groups, ways=ways, block_bytes=16,
-        stash_capacity=200, drain_probability=p, seed=seed, **kwargs)
+        drain_probability=p, seed=seed, **kwargs)
 
 
 def payload(value):

@@ -12,9 +12,7 @@ import pytest
 from repro.obs.audit import (FORBIDDEN_ADVERSARY_ARGS, AuditResult,
                              adversary_observations, audit_address_streams,
                              audit_freecursive_protocol,
-                             audit_indep_split_protocol,
-                             audit_independent_protocol,
-                             audit_split_protocol, audit_timing_design,
+                             audit_link_protocol, audit_timing_design,
                              compare_observables, run_full_audit,
                              scan_secret_args)
 from repro.obs.tracer import TraceEvent
@@ -55,15 +53,15 @@ class TestProtocolTierAudit:
         return audit_address_streams(32, span=1 << 10)
 
     def test_independent(self, streams):
-        result = audit_independent_protocol(*streams)
+        result = audit_link_protocol("independent", *streams)
         assert result.passed, result.describe()
 
     def test_split(self, streams):
-        result = audit_split_protocol(*streams)
+        result = audit_link_protocol("split", *streams)
         assert result.passed, result.describe()
 
     def test_indep_split(self, streams):
-        result = audit_indep_split_protocol(*streams)
+        result = audit_link_protocol("indep-split", *streams)
         assert result.passed, result.describe()
 
     def test_freecursive(self, streams):
@@ -73,19 +71,19 @@ class TestProtocolTierAudit:
     def test_injected_leak_is_detected(self, streams):
         # The audit must have teeth: wiring posmap leaf parity into the
         # FETCH_RESULT payload size must render the traces distinguishable.
-        result = audit_independent_protocol(*streams, inject_leak=True)
+        result = audit_link_protocol("independent", *streams,
+                                     inject_leak=True)
         assert not result.passed
         assert result.first_divergence is not None
         index, seen_a, seen_b = result.first_divergence
         assert seen_a != seen_b
 
-    @pytest.mark.parametrize("audit", [audit_split_protocol,
-                                       audit_indep_split_protocol])
+    @pytest.mark.parametrize("design", ["split", "indep-split"])
     def test_injected_leak_is_detected_in_every_design(self, streams,
-                                                       audit):
+                                                       design):
         # Split returns the block with FETCH_STASH rather than
         # FETCH_RESULT; the leak must show there too.
-        result = audit(*streams, inject_leak=True)
+        result = audit_link_protocol(design, *streams, inject_leak=True)
         assert result.name.endswith("+leak")
         assert not result.passed
 
@@ -209,16 +207,14 @@ class TestCliVerb:
         from repro.cli import main
 
         leak_seeds = []
-        for name in ("audit_independent_protocol", "audit_split_protocol",
-                     "audit_indep_split_protocol"):
-            original = getattr(audit_module, name)
+        original = audit_module.audit_link_protocol
 
-            def spy(*args, _original=original, **kwargs):
-                if kwargs.get("inject_leak"):
-                    leak_seeds.append(kwargs.get("seed", 2018))
-                return _original(*args, **kwargs)
+        def spy(*args, **kwargs):
+            if kwargs.get("inject_leak"):
+                leak_seeds.append(kwargs.get("seed", 2018))
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(audit_module, name, spy)
+        monkeypatch.setattr(audit_module, "audit_link_protocol", spy)
         code = main(["audit-trace", "--misses", "4", "--accesses", "12",
                      "--seed", "7", "--inject-leak"])
         capsys.readouterr()

@@ -96,7 +96,7 @@ class TestSplitGroupEdges:
     def make_group(self, p=0.0):
         return SplitGroup(
             group_id=0, groups=2, global_levels=7, ways=2,
-            blocks_per_bucket=4, block_bytes=16, stash_capacity=200,
+            blocks_per_bucket=4, block_bytes=16,
             transfer_queue_capacity=8, drain_probability=p,
             rng=DeterministicRng(17, "group-edge"), key=b"edge-key-16byte!")
 

@@ -116,15 +116,14 @@ class IndependentMachine(OramModelMachine):
 
 class SplitMachine(OramModelMachine):
     def make_oram(self):
-        return SplitProtocol(levels=6, ways=2, block_bytes=BLOCK,
-                             stash_capacity=200, seed=5)
+        return SplitProtocol(levels=6, ways=2, block_bytes=BLOCK, seed=5)
 
 
 class IndepSplitMachine(OramModelMachine):
     def make_oram(self):
         return IndepSplitProtocol(global_levels=7, groups=2, ways=2,
-                                  block_bytes=BLOCK, stash_capacity=200,
-                                  drain_probability=0.2, seed=5)
+                                  block_bytes=BLOCK, drain_probability=0.2,
+                                  seed=5)
 
 
 class WiredIndependentMachine(OramModelMachine):

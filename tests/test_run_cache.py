@@ -231,6 +231,24 @@ class TestDiskStats:
         assert cache.disk_stats("f") == {"entries": 0, "stale": 0,
                                          "unreadable": 0, "bytes": 0}
 
+    def test_current_lint_entries_are_not_stale(self, tmp_path):
+        # Lint entries carry the lint-only fingerprint, not the whole
+        # package's; both are current, so stats and prune must keep them.
+        from repro.lint import lint_paths
+
+        source = tmp_path / "sim" / "clock.py"
+        source.parent.mkdir()
+        source.write_text("import time\n\n\ndef now():\n"
+                          "    return time.time()\n")
+        directory = str(tmp_path / "lint-cache")
+        lint_paths([str(source)], cache_dir=directory)
+        cache = RunCache(directory)
+        stats = cache.disk_stats()
+        assert stats["entries"] == 1
+        assert stats["stale"] == 0
+        assert cache.prune_stale() == 0
+        assert cache.entry_count() == 1
+
 
 class TestCacheCli:
     """The ``cache stats`` / ``cache prune`` CLI verbs."""

@@ -13,7 +13,7 @@ from tests.keystream import slot_region_reuse
 
 def make_protocol(levels=6, ways=2, seed=2018, **kwargs):
     return SplitProtocol(levels=levels, ways=ways, block_bytes=16,
-                         stash_capacity=200, seed=seed, **kwargs)
+                         seed=seed, **kwargs)
 
 
 def payload(value):
@@ -218,6 +218,27 @@ class TestObliviousness:
         reads = [(index, Op.READ, 0) for index in range(10)]
         writes = [(index, Op.WRITE, index) for index in range(10)]
         assert self._shapes(reads) == self._shapes(writes)
+
+    @staticmethod
+    def _one_access(action):
+        """Link events of one access after a warm-up write of block 3."""
+        protocol = make_protocol(levels=6, record_link=True)
+        protocol.write(3, payload(3))
+        before = len(protocol.link)
+        action(protocol)
+        return [(event.sdimm,) + event.shape()
+                for event in protocol.link.events[before:]]
+
+    @pytest.mark.parametrize("address", [3, 40],
+                             ids=["re-read", "first-touch"])
+    def test_dummy_access_is_bus_identical_to_a_real_one(self, address):
+        dummy = self._one_access(lambda protocol: protocol.dummy_access())
+        read = self._one_access(lambda protocol: protocol.read(address))
+        write = self._one_access(
+            lambda protocol: protocol.write(address, payload(7)))
+        assert dummy
+        assert dummy == read
+        assert dummy == write
 
     def test_data_moves_locally_metadata_to_cpu(self):
         """The Split property: FETCH_DATA carries no payload on the channel;

@@ -71,8 +71,8 @@ class TestEncryptedIndependentDimm:
 
 class TestSplitDimmTrace:
     def make(self):
-        return SplitProtocol(levels=6, ways=2, block_bytes=16,
-                             stash_capacity=200, seed=5, record_trace=True)
+        return SplitProtocol(levels=6, ways=2, block_bytes=16, seed=5,
+                             record_trace=True)
 
     def test_trace_is_whole_paths(self):
         protocol = self.make()
@@ -111,7 +111,6 @@ class TestSplitDimmTrace:
         assert hot == scan
 
     def test_trace_off_by_default(self):
-        protocol = SplitProtocol(levels=6, ways=2, block_bytes=16,
-                                 stash_capacity=200)
+        protocol = SplitProtocol(levels=6, ways=2, block_bytes=16)
         protocol.read(1)
         assert protocol.buffers[0].bucket_trace == []
